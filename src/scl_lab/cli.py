@@ -4,8 +4,8 @@ Each invocation prints one OutputRecord per computation on stdout as a
 single JSON line with the shape {command, inputs, result, certificates,
 flags}.  Exact rationals are serialized as "num/den" strings (never as
 floats); real numbers are rounded to 12 significant digits.  Exit codes:
-0 success, 1 failed audit check, 2 invalid input, 3 inconclusive or
-budget exhausted.
+0 success, 1 failed audit, certificate or soundness check, 2 invalid input,
+3 inconclusive, search budget or depth cap exhausted.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .quasimorphisms import (
     rotation_number,
 )
 from .scl_engine import (
+    CertificateError,
     NotInCommutatorSubgroupError,
     SearchBudgetError,
     cl_lower,
@@ -71,6 +72,8 @@ from .scl_engine import (
 )
 from .sol_geometry import (
     AnosovMatrix,
+    DecompositionDepthError,
+    SolCertificateError,
     SolElement,
     SolError,
     SolMembershipError,
@@ -748,10 +751,20 @@ def main(argv: Optional[list] = None) -> int:
     except SearchBudgetError as exc:
         print(f"{PROG}: budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except DecompositionDepthError as exc:
+        print(f"{PROG}: depth budget exhausted: {exc}", file=sys.stderr)
+        return 3
+    except (CertificateError, SolCertificateError) as exc:
+        # both subclass ValueError, but the input was fine: our own
+        # certificate failed its check
+        print(f"{PROG}: certificate check failed: {exc}", file=sys.stderr)
+        return 1
     except (WordError, SolError, ConfigError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except DefectCertificateError as exc:
+    except RuntimeError as exc:
+        # SoundnessError, WitnessError, DefectCertificateError and the Sol
+        # decomposition's own checks: an internal fault, not bad input
         print(f"{PROG}: soundness failure: {exc}", file=sys.stderr)
         return 1
     _emit(records, args.table)

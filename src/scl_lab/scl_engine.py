@@ -10,6 +10,7 @@ the word, not an estimate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -207,11 +208,37 @@ def _commutator_value_index(rank: int, max_len: int):
                 key = _pack(c)
                 add(key)
                 add(_pack_inverse(key))
-    ordered = sorted(seen, key=lambda k: (len(k), k))
+    ordered = sorted(seen, key=_index_order)
     return ordered, seen
 
 
+def _index_order(key: bytes):
+    return (len(key), key)
+
+
+def _prefix_range(ordered: list, length: int, prefix: bytes) -> list:
+    """Keys of ``length`` that begin with ``prefix``, in index order."""
+    lo = bisect_left(ordered, (length, prefix), key=_index_order)
+    # packed letters are below 0xff, so this bounds every extension
+    hi = bisect_left(ordered, (length, prefix + b"\xff"), key=_index_order)
+    return ordered[lo:hi]
+
+
 def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
+    """Two commutator pairs whose product is ``a``, or None.
+
+    A hit is a split ``a = c1 c2`` with both factors in the commutator-value
+    index; the returned ``c1`` is the least valid key in the index's
+    ``(len, bytes)`` order, so certificates do not depend on how the index
+    is read.  Free reduction of ``c1 c2`` cancels some ``x``, leaving
+    ``c1 = p x``, ``c2 = x^-1 s`` and ``a = p s``.  With ``h = ceil(|a|/2)``
+    either ``|p| >= h``, and ``c1`` begins with ``a[:h]``, or ``|p| <= h``,
+    and ``c2^-1`` begins with ``(a[h:])^-1``.  The index is closed under
+    inversion, so both cases are prefix ranges of the sorted key list in
+    each length class.  The first case is read by ascending length up to its
+    first valid key, which is its least; the second only up to length
+    ``|a| + |c1|`` of the best ``c1`` so far, since ``|c1| >= |c2| - |a|``.
+    """
     rank = a.rank
     if rank >= _PACK_OFFSET:
         raise SearchBudgetError(
@@ -223,20 +250,40 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
             f"genus-2 search at rank {rank}, max_len {max_len} needs "
             f"{pairs} pairs; budget is {pair_budget}")
     ordered, seen = _commutator_value_index(rank, max_len)
+    if not ordered:
+        return None
     target = a.codes
-    for key in ordered:
-        first = _unpack(key)
-        rest = _reduce(_inv(first) + target)
-        if rest and _pack(rest) in seen:
-            pair1 = _genus_one_search(
-                ReducedWord(rank, first, _trusted=True), max_len)
-            pair2 = _genus_one_search(
-                ReducedWord(rank, rest, _trusted=True), max_len)
-            if pair1 is None or pair2 is None:
-                raise WitnessError(
-                    "index hit could not be rebuilt into commutator pairs")
-            return (pair1, pair2)
-    return None
+    longest = len(ordered[-1])
+    h = (len(target) + 1) // 2
+    best: Optional[bytes] = None
+    head = _pack(target[:h])
+    for length in range(len(head), longest + 1):
+        for key in _prefix_range(ordered, length, head):
+            rest = _reduce(_inv(_unpack(key)) + target)
+            if rest and _pack(rest) in seen:
+                best = key
+                break
+        if best is not None:
+            break
+    tail = _pack(_inv(target[h:]))
+    for length in range(len(tail), longest + 1):
+        if best is not None and length > len(target) + len(best):
+            break
+        for key in _prefix_range(ordered, length, tail):
+            first = _pack(_reduce(target + _unpack(key)))
+            if first in seen and (best is None or _index_order(first)
+                                  < _index_order(best)):
+                best = first
+    if best is None:
+        return None
+    first = _unpack(best)
+    rest = _reduce(_inv(first) + target)
+    pair1 = _genus_one_search(ReducedWord(rank, first, _trusted=True), max_len)
+    pair2 = _genus_one_search(ReducedWord(rank, rest, _trusted=True), max_len)
+    if pair1 is None or pair2 is None:
+        raise WitnessError(
+            "index hit could not be rebuilt into commutator pairs")
+    return (pair1, pair2)
 
 
 def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from scl_lab import cli
 from scl_lab.cli import main
+from scl_lab.scl_engine import CertificateError, SoundnessError, WitnessError
+from scl_lab.sol_geometry import SolCertificateError
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -223,6 +226,44 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert "trace" in captured.err
+
+
+class TestInternalErrors:
+    """Failures of the program's own checks exit 1 with one stderr line,
+    never 2 ("invalid input") and never a traceback."""
+
+    @pytest.mark.parametrize("error", [
+        CertificateError, SolCertificateError, SoundnessError, WitnessError])
+    def test_internal_check_failure_is_exit_one(self, capsys, monkeypatch,
+                                                error):
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "cl_upper", fail)
+        code = main(["cl", "--word", "[a,b]"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "injected failure" in captured.err
+
+    def test_sol_contraction_failure_is_exit_one(self, capsys):
+        # the decomposition's own contraction check fails on this member;
+        # its cause in the profile constants is still open
+        code = main(["sol", "decompose", "--matrix=0,1,-1,3",
+                     "--vector=1000,1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert "contraction failed" in captured.err
+
+    def test_sol_depth_cap_is_exit_three(self, capsys):
+        code = main(["sol", "decompose", "--matrix=2,1,1,1",
+                     "--vector=100000000000000000000,1", "--max-depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.count("\n") == 1
+        assert "max_depth 2" in captured.err
 
 
 class TestConfig:

@@ -1,19 +1,31 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scl_lab.free_words import (
     ReducedWord,
+    _inv,
+    _reduce,
     commutator,
     parse_word,
     power,
 )
 from scl_lab.scl_engine import (
+    DEFAULT_MAX_LEN,
+    DEFAULT_PAIR_BUDGET,
     CertificateError,
     CommutatorCertificate,
     NotInCommutatorSubgroupError,
     SearchBudgetError,
+    _commutator_value_index,
+    _genus_one_search,
+    _genus_two_search,
+    _pack,
+    _unpack,
     cl_lower,
     cl_upper,
     default_brooks_dictionary,
@@ -140,6 +152,73 @@ class TestClUpper:
             assert certs[2].genus <= certs[0].genus + certs[1].genus
             checked += 1
         assert checked >= 5
+
+
+def words(max_size):
+    return st.builds(lambda letters: ReducedWord(2, letters), st.lists(
+        st.sampled_from([1, -1, 2, -2]), max_size=max_size))
+
+
+def full_walk_genus_two(a, max_len):
+    """Reference genus-2 lookup: walk the whole index in (len, bytes) order
+    and rebuild the first hit."""
+    ordered, seen = _commutator_value_index(a.rank, max_len)
+    for key in ordered:
+        first = _unpack(key)
+        rest = _reduce(_inv(first) + a.codes)
+        if rest and _pack(rest) in seen:
+            return tuple(
+                _genus_one_search(ReducedWord(a.rank, c, _trusted=True),
+                                  max_len)
+                for c in (first, rest))
+    return None
+
+
+def genus_two_corpus(rng, max_len, count):
+    """Products of two commutators, their conjugates (which often need
+    longer entries) and Culler's powers [a,b]^n."""
+    def entry():
+        return random_reduced(rng, 2, rng.randrange(1, max_len + 1))
+
+    corpus = [power(w("[a,b]"), n) for n in range(1, 7)]
+    while len(corpus) < count:
+        product = commutator(entry(), entry()) * commutator(entry(), entry())
+        g = random_reduced(rng, 2, rng.randrange(0, 3))
+        corpus.append(g * product * ~g)
+    return corpus
+
+
+class TestGenusTwoLookup:
+    @pytest.mark.parametrize("max_len", [3, 4])
+    def test_matches_full_walk_on_seeded_corpus(self, max_len):
+        outcomes = set()
+        for a in genus_two_corpus(random.Random(7 + max_len), max_len, 60):
+            expected = full_walk_genus_two(a, max_len)
+            assert _genus_two_search(a, max_len, DEFAULT_PAIR_BUDGET) \
+                == expected, str(a)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}  # the corpus has hits and misses
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(words(16), st.builds(
+        lambda u1, v1, u2, v2: commutator(u1, v1) * commutator(u2, v2),
+        words(3), words(3), words(3), words(3))))
+    def test_matches_full_walk_on_random_words(self, a):
+        assert _genus_two_search(a, 3, DEFAULT_PAIR_BUDGET) \
+            == full_walk_genus_two(a, 3)
+
+    def test_culler_oracle_at_default_budgets(self):
+        # Culler: cl([a,b]^n) = n // 2 + 1, so genus 2 is exact for n = 2, 3
+        # and no genus-2 certificate exists for n >= 4; a hit there would
+        # be a soundness bug
+        _commutator_value_index(2, DEFAULT_MAX_LEN)  # shared, cached build
+        for n in (2, 3):
+            assert cl_upper(power(w("[a,b]"), n)).genus == 2
+        start = time.perf_counter()
+        for n in range(4, 9):
+            assert cl_upper(power(w("[a,b]"), n)) is None
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"five misses took {elapsed:.2f}s"
 
 
 class TestLowerBounds:
