@@ -24,17 +24,10 @@ The CLI (``python -m scl_lab`` or the ``scl-lab`` script) exposes the same
 operations as JSON-line records.
 """
 
-from scl_lab.config import (
-    Config,
-    ConfigError,
-    default_config,
-    load_config,
-    thread_cap_from_env,
-)
+from scl_lab.config import Config, ConfigError, default_config, load_config
+from scl_lab.errors import SclLabError
 from scl_lab.free_words import (
     CyclicWord,
-    Generator,
-    Letter,
     RankMismatchError,
     ReducedWord,
     WordError,
@@ -105,14 +98,13 @@ from scl_lab.scl_engine import (
     scl_lower_bavard,
     scl_report,
     scl_upper_from_power,
-    scl_zero_by_inverse_conjugacy,
 )
 from scl_lab.sol_geometry import (
     AnosovMatrix,
-    DecompositionDepthError,
     SolCommutatorExpression,
     SolElement,
     SolError,
+    SolProfileError,
     commutator_certificate,
     membership_commutator_subgroup,
     membership_witness_rational,
@@ -129,12 +121,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    # errors that are not about invalid input
+    "SclLabError",
     # configuration
     "Config", "ConfigError", "default_config", "load_config",
-    "thread_cap_from_env",
     # words
-    "CyclicWord", "Generator", "Letter", "RankMismatchError", "ReducedWord",
-    "WordError", "WordSyntaxError", "abelianization", "commutator", "concat",
+    "CyclicWord", "RankMismatchError", "ReducedWord", "WordError", "WordSyntaxError", "abelianization", "commutator", "concat",
     "conjugate", "count_disjoint_copies", "count_disjoint_copies_cyclic",
     "cyclically_reduce", "enumerate_reduced_words", "invert", "parse_word",
     "power",
@@ -148,7 +140,6 @@ __all__ = [
     "NotInCommutatorSubgroupError", "SclReport", "SearchBudgetError",
     "SoundnessError", "WitnessError", "cl_lower", "cl_upper",
     "scl_lower_bavard", "scl_report", "scl_upper_from_power",
-    "scl_zero_by_inverse_conjugacy",
     # hyperbolic estimates
     "AuditError", "AuditReport", "CuspShape", "GapParams", "OptimalEpsilon",
     "SurfaceData", "SurgeryCoeffs", "TubeParams", "genus_bound_from_meridian",
@@ -158,8 +149,8 @@ __all__ = [
     "scl_upper_from_surgery", "spectral_gap_constants", "surgery_bound_audit",
     "surgery_length_bound", "tube_area", "tube_qm_value",
     # Sol lattices
-    "AnosovMatrix", "DecompositionDepthError", "SolCommutatorExpression",
-    "SolElement", "SolError", "commutator_certificate",
+    "AnosovMatrix", "SolCommutatorExpression", "SolElement", "SolError",
+    "SolProfileError", "commutator_certificate",
     "membership_commutator_subgroup", "membership_witness_rational",
     "recursive_log_decomposition", "sol_commutator", "sol_conjugate",
     "sol_inverse", "sol_mul", "sol_power", "sol_scl_report",

@@ -5,7 +5,9 @@ single JSON line with the shape {command, inputs, result, certificates,
 flags}.  Exact rationals are serialized as "num/den" strings (never as
 floats); real numbers are rounded to 12 significant digits.  Exit codes:
 0 success, 1 failed audit, certificate or soundness check, 2 invalid input,
-3 inconclusive, search budget or depth cap exhausted.
+3 inconclusive: a search budget ran out, or no Sol decomposition profile
+certifies for the matrix.  Codes 1 and 3 come from the ``SclLabError``
+raised; every other ``ValueError`` is invalid input.
 """
 
 from __future__ import annotations
@@ -18,16 +20,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .config import (
-    Config,
-    ConfigError,
-    default_config,
-    load_config,
-    thread_cap_from_env,
-)
+from .config import Config, default_config, load_config
+from .errors import SclLabError
 from .free_words import (
     ReducedWord,
-    WordError,
     abelianization,
     count_disjoint_copies,
     cyclically_reduce,
@@ -63,19 +59,14 @@ from .quasimorphisms import (
     rotation_number,
 )
 from .scl_engine import (
-    CertificateError,
     NotInCommutatorSubgroupError,
-    SearchBudgetError,
     cl_lower,
     cl_upper,
     scl_report,
 )
 from .sol_geometry import (
     AnosovMatrix,
-    DecompositionDepthError,
-    SolCertificateError,
     SolElement,
-    SolError,
     SolMembershipError,
     commutator_certificate,
     membership_commutator_subgroup,
@@ -447,7 +438,7 @@ def _cmd_sol_cert(args, cfg: Config):
 def _cmd_sol_decompose(args, cfg: Config):
     A = _matrix_arg(args)
     vec = _vector_arg(args)
-    outcome = recursive_log_decomposition(A, vec, max_depth=args.max_depth)
+    outcome = recursive_log_decomposition(A, vec)
     trace = outcome.trace
     result = {
         "verified": True,
@@ -458,8 +449,7 @@ def _cmd_sol_decompose(args, cfg: Config):
                       for key, val in trace.constants.items()},
     }
     certificates = [_sol_factor(x, y) for x, y in outcome.expression.factors]
-    inputs = {"matrix": list(A.flat), "vector": list(vec),
-              "max_depth": args.max_depth}
+    inputs = {"matrix": list(A.flat), "vector": list(vec)}
     return [_record("sol decompose", inputs, result, certificates)], 0
 
 
@@ -708,16 +698,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sol", parents=[common],
                        help="Sol-lattice arithmetic and scl-zero certificates")
     sol_sub = p.add_subparsers(dest="sol_command", required=True)
-    for name, handler, extra in (
-            ("member", _cmd_sol_member, ()),
-            ("cert", _cmd_sol_cert, ()),
-            ("decompose", _cmd_sol_decompose, ("max_depth",)),
-            ("report", _cmd_sol_report, ()),
-            ("mul", _cmd_sol_mul, ("xy",))):
+    for name, handler in (
+            ("member", _cmd_sol_member),
+            ("cert", _cmd_sol_cert),
+            ("decompose", _cmd_sol_decompose),
+            ("report", _cmd_sol_report),
+            ("mul", _cmd_sol_mul)):
         q = sol_sub.add_parser(name, parents=[common])
         q.add_argument("--matrix", required=True,
                        help="four comma-separated integers, row-major")
-        if "xy" in extra:
+        if name == "mul":
             q.add_argument("--x", required=True,
                            help="three comma-separated integers vx,vy,t")
             q.add_argument("--y", required=True,
@@ -725,8 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             q.add_argument("--vector", required=True,
                            help="two comma-separated integers")
-        if "max_depth" in extra:
-            q.add_argument("--max-depth", type=int, default=64)
         q.set_defaults(handler=handler)
 
     p = sub.add_parser("audit", parents=[common],
@@ -745,28 +733,14 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        thread_cap_from_env()
         cfg = load_config(args.config) if args.config else default_config()
         records, code = args.handler(args, cfg)
-    except SearchBudgetError as exc:
-        print(f"{PROG}: budget exhausted: {exc}", file=sys.stderr)
-        return 3
-    except DecompositionDepthError as exc:
-        print(f"{PROG}: depth budget exhausted: {exc}", file=sys.stderr)
-        return 3
-    except (CertificateError, SolCertificateError) as exc:
-        # both subclass ValueError, but the input was fine: our own
-        # certificate failed its check
-        print(f"{PROG}: certificate check failed: {exc}", file=sys.stderr)
-        return 1
-    except (WordError, SolError, ConfigError, ValueError) as exc:
+    except SclLabError as exc:
+        print(f"{PROG}: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # SoundnessError, WitnessError, DefectCertificateError and the Sol
-        # decomposition's own checks: an internal fault, not bad input
-        print(f"{PROG}: soundness failure: {exc}", file=sys.stderr)
-        return 1
     _emit(records, args.table)
     return code
 

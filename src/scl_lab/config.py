@@ -9,7 +9,6 @@ engine so a config file can override them globally for the CLI.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -26,11 +25,7 @@ __all__ = [
     "DEFAULT_MARGULIS_CONSTANTS",
     "default_config",
     "load_config",
-    "thread_cap_from_env",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "SCL_LAB_THREADS"
 
 # placeholder, non-normative: a frequently quoted working value for the
 # 3-dimensional Margulis constant, supplied only so the gap calculator has
@@ -41,7 +36,7 @@ _BUDGET_KEYS = ("n_max", "max_len", "max_genus", "pair_budget")
 
 
 class ConfigError(ValueError):
-    """Malformed configuration file or environment setting."""
+    """Malformed configuration file."""
 
 
 @dataclass(frozen=True)
@@ -110,24 +105,3 @@ def load_config(path: str) -> Config:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             kwargs[key] = value
     return Config(**kwargs)
-
-
-def thread_cap_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[int]:
-    """Validated SCL_LAB_THREADS value, or None when unset.
-
-    The engine is deterministic regardless of the cap; the variable is
-    validated and recorded so scripts fail loudly on typos.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get(THREADS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value

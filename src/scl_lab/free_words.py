@@ -10,15 +10,14 @@ safe to share and to cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
+
+from .errors import SclLabError
 
 __all__ = [
     "MAX_NAMED_RANK",
-    "Generator",
-    "Letter",
     "ReducedWord",
     "CyclicWord",
     "WordError",
@@ -103,43 +102,10 @@ def _code_str(codes: Sequence[int], rank: int) -> str:
 # ---------------------------------------------------------------------------
 # domain types
 
-@dataclass(frozen=True)
-class Generator:
-    """One free generator, indexed from 1."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise WordError(f"generator index must be >= 1, got {self.index}")
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A generator or its inverse."""
-
-    generator: Generator
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise WordError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def code(self) -> int:
-        return self.sign * self.generator.index
-
-    @classmethod
-    def from_code(cls, code: int) -> "Letter":
-        if code == 0:
-            raise WordError("letter code 0 is not a generator")
-        return cls(Generator(abs(code)), 1 if code > 0 else -1)
-
-
-def _coerce_codes(letters: Iterable[Union[int, Letter]], rank: int) -> tuple[int, ...]:
+def _coerce_codes(letters: Iterable[int], rank: int) -> tuple[int, ...]:
     codes = []
     for item in letters:
-        c = item.code if isinstance(item, Letter) else int(item)
+        c = int(item)
         if c == 0 or abs(c) > rank:
             raise WordError(f"letter code {c} outside rank {rank}")
         codes.append(c)
@@ -155,7 +121,7 @@ class ReducedWord:
 
     __slots__ = ("rank", "codes")
 
-    def __init__(self, rank: int, letters: Iterable[Union[int, Letter]] = (), *,
+    def __init__(self, rank: int, letters: Iterable[int] = (), *,
                  _trusted: bool = False):
         if rank < 1:
             raise WordError(f"rank must be >= 1, got {rank}")
@@ -168,10 +134,6 @@ class ReducedWord:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ReducedWord is immutable")
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_code(c) for c in self.codes)
 
     def is_identity(self) -> bool:
         return not self.codes
@@ -212,7 +174,7 @@ class CyclicWord:
 
     __slots__ = ("rank", "codes")
 
-    def __init__(self, rank: int, letters: Iterable[Union[int, Letter]] = (), *,
+    def __init__(self, rank: int, letters: Iterable[int] = (), *,
                  _trusted: bool = False):
         if rank < 1:
             raise WordError(f"rank must be >= 1, got {rank}")
@@ -483,7 +445,7 @@ def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
             block = diffs[-p:]
             if diffs[-3 * p:] == block * 3:
                 return Fraction(sum(block), p)
-    raise RuntimeError("difference sequence did not stabilize")  # pragma: no cover
+    raise SclLabError("difference sequence did not stabilize")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

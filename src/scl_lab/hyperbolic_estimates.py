@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from .errors import SclLabError
+
 __all__ = [
     "AREA_TOL",
     "HK_COEFFICIENT",
@@ -63,7 +65,7 @@ SURGERY_COEFFICIENT = 3.993
 AUDIT_COEFFICIENTS = (1.0376, 0.9816, 1.0206)
 
 
-class AuditError(RuntimeError):
+class AuditError(SclLabError):
     """A printed inequality failed on the audit grid."""
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
+from .errors import SclLabError
 from .free_words import (
     ReducedWord,
     WordError,
@@ -61,7 +62,7 @@ BROOKS_DEFECT = 3
 HOMOGENEOUS_BROOKS_DEFECT = 6
 
 
-class DefectCertificateError(RuntimeError):
+class DefectCertificateError(SclLabError):
     """An observed defect exceeded a certified bound; the bound is wrong."""
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from .errors import SclLabError
 from .free_words import (
     ReducedWord,
     _codes_up_to,
@@ -40,7 +41,6 @@ __all__ = [
     "WitnessError",
     "SearchBudgetError",
     "CommutatorCertificate",
-    "InverseConjugacyCertificate",
     "cl_upper",
     "cl_lower",
     "scl_lower_bavard",
@@ -48,7 +48,6 @@ __all__ = [
     "default_brooks_dictionary",
     "SclReport",
     "scl_report",
-    "scl_zero_by_inverse_conjugacy",
     "DEFAULT_MAX_LEN",
     "DEFAULT_MAX_GENUS",
     "DEFAULT_N_MAX",
@@ -63,25 +62,30 @@ DEFAULT_PAIR_BUDGET = 3_000_000
 _PACK_OFFSET = 64  # byte packing supports letter codes in [-63, 63]
 
 
-class CertificateError(ValueError):
+class CertificateError(SclLabError):
     """A certificate failed its own verification."""
+
+    label = "certificate check failed"
 
 
 class NotInCommutatorSubgroupError(ValueError):
     """The word has nonzero abelianization, so no commutator product equals it."""
 
 
-class SoundnessError(RuntimeError):
+class SoundnessError(SclLabError):
     """Certified bounds contradict each other or the Duncan-Howie 1/2
     floor; indicates an internal bug, never a property of the input."""
 
 
-class WitnessError(RuntimeError):
+class WitnessError(SclLabError):
     """A search hit could not be rebuilt into a certificate; internal bug."""
 
 
-class SearchBudgetError(ValueError):
+class SearchBudgetError(SclLabError):
     """The requested search exceeds the configured pair budget."""
+
+    exit_code = 3
+    label = "budget exhausted"
 
 
 @dataclass(frozen=True)
@@ -534,71 +538,3 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
         lower_witness=witness, power=best_power, power_genus=best_genus,
         certificate=best_cert, flags=tuple(flags),
         dictionary_size=len(dictionary))
-
-
-# ---------------------------------------------------------------------------
-# vanishing certificates from inverse conjugacy
-
-@dataclass(frozen=True)
-class InverseConjugacyCertificate:
-    """Witness that conjugation by ``conjugator`` inverts ``element``.
-
-    The relation forces ``element^(2k) = [element^k, conjugator]`` for every
-    k, so every even power is a single commutator and the stable commutator
-    length of ``element`` is 0.  Construction verifies both the relation and
-    the displayed power identity exactly.
-    """
-
-    element: object
-    conjugator: object
-    power: int
-    kind: str
-    matrix: object = None
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise CertificateError(f"power must be >= 1, got {self.power}")
-        if self.kind == "free-group":
-            b, c = self.element, self.conjugator
-            if not isinstance(b, ReducedWord) or not isinstance(c, ReducedWord):
-                raise CertificateError("free-group certificate needs ReducedWord inputs")
-            if (c * b * ~c) != ~b:
-                raise CertificateError(
-                    f"conjugation by {c} does not invert {b}")
-            n = self.power
-            if power(b, 2 * n) != commutator(power(b, n), c):
-                raise CertificateError("power identity failed")  # pragma: no cover
-        elif self.kind == "sol-lattice":
-            from .sol_geometry import sol_commutator, sol_conjugate, sol_inverse, sol_power
-            A = self.matrix
-            b, c = self.element, self.conjugator
-            if sol_conjugate(A, b, c) != sol_inverse(A, b):
-                raise CertificateError(
-                    f"conjugation by {c} does not invert {b} over {A}")
-            n = self.power
-            if sol_power(A, b, 2 * n) != sol_commutator(A, sol_power(A, b, n), c):
-                raise CertificateError("power identity failed")  # pragma: no cover
-        else:
-            raise CertificateError(f"unknown certificate kind {self.kind!r}")
-
-    @property
-    def conclusion(self) -> str:
-        return "scl(element) = 0"
-
-
-def scl_zero_by_inverse_conjugacy(b, c, n: int, *, matrix=None
-                                  ) -> InverseConjugacyCertificate:
-    """Certify scl(b) = 0 from a conjugator that inverts b.
-
-    With no ``matrix`` the inputs are free-group words; with an Anosov
-    ``matrix`` they are elements of the corresponding lattice in Sol.  The
-    check is exact and raises CertificateError when conjugation by ``c``
-    does not send ``b`` to its inverse.  In a free group that rejection is
-    guaranteed for nontrivial ``b``: no element is conjugate to its inverse
-    there.  The same holds in the lattices handled here, whose fibers are
-    scaled by powers of the matrix eigenvalues; the constructor is still
-    useful as an exact refuter and for the trivial element.
-    """
-    if matrix is None:
-        return InverseConjugacyCertificate(b, c, n, "free-group")
-    return InverseConjugacyCertificate(b, c, n, "sol-lattice", matrix)

@@ -24,15 +24,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from .errors import SclLabError
+
 __all__ = [
     "SolError",
     "SolMembershipError",
     "SolCertificateError",
-    "DecompositionDepthError",
+    "SolProfileError",
     "AnosovMatrix",
     "SolElement",
     "SOL_IDENTITY_T",
-    "sol_identity",
     "sol_mul",
     "sol_inverse",
     "sol_power",
@@ -59,16 +60,18 @@ class SolMembershipError(SolError):
     """The fiber vector is not in the commutator subgroup."""
 
 
-class SolCertificateError(SolError):
+class SolCertificateError(SclLabError):
     """A Sol certificate failed its own verification."""
 
+    label = "certificate check failed"
 
-class DecompositionDepthError(RuntimeError):
-    """Recursion exceeded max_depth; ``partial_trace`` holds progress."""
 
-    def __init__(self, message: str, partial_trace: "DecompositionTrace"):
-        super().__init__(message)
-        self.partial_trace = partial_trace
+class SolProfileError(SclLabError):
+    """No box up to the largest one tried certifies a contraction for the
+    matrix, so the recursive decomposition cannot run on it."""
+
+    exit_code = 3
+    label = "inconclusive"
 
 
 Vec = tuple[int, int]
@@ -90,11 +93,6 @@ class AnosovMatrix:
         if abs(self.a + self.d) <= 2:
             raise SolError(
                 f"|trace| must exceed 2, got trace {self.a + self.d}")
-
-    @classmethod
-    def from_rows(cls, rows) -> "AnosovMatrix":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
 
     @property
     def trace(self) -> int:
@@ -142,10 +140,6 @@ class SolElement:
 
 
 SOL_IDENTITY_T = SolElement((0, 0), 0)
-
-
-def sol_identity() -> SolElement:
-    return SOL_IDENTITY_T
 
 
 def sol_mul(A: AnosovMatrix, x: SolElement, y: SolElement) -> SolElement:
@@ -276,7 +270,7 @@ class DecompositionTrace:
 
     ``constants`` records the eigenvalue, box bound, component half-ranges,
     contraction factors, and the (c1, c2) of the factor-count bound
-    ``count <= c1 * log(|a| + 2) + c2`` asserted at emission.
+    ``count <= c1 * log(|a| + 2) + c2`` checked at every level.
     """
 
     constants: dict
@@ -368,7 +362,7 @@ def _decomposition_profile(flat: tuple[int, int, int, int]) -> _Profile:
                             members_plus, members_minus,
                             h_plus, h_minus, c_plus, c_minus, base_bound,
                             c1, c2)
-    raise SolError(
+    raise SolProfileError(
         f"could not certify an eigendirection contraction for {A} with "
         f"boxes up to 8")
 
@@ -377,9 +371,29 @@ def _sup(v: Vec) -> int:
     return max(abs(v[0]), abs(v[1]))
 
 
-def _least_power(value: float, lam: float, half_range: float) -> int:
+#: floats overflow near 2**1024, so a remainder longer than this many bits
+#: is steered on its leading bits
+_STEER_BITS = 1000
+
+
+def _least_power(coeffs, r: Vec, lam: float, half_range: float) -> int:
+    """Least k with ``|component of r along coeffs| / lam**k <= half_range``.
+
+    Steers in floats on ``r >> s``, for the shift ``s`` that leaves
+    ``_STEER_BITS`` bits, and folds the shift back in while the float has
+    room; below ``2**_STEER_BITS`` the shift is 0 and the steps are the
+    plain float loop's.
+    """
+    shift = max(0, _sup(r).bit_length() - _STEER_BITS)
+    scaled = abs(_component(coeffs, (r[0] >> shift, r[1] >> shift)))
     k = 0
-    scaled = abs(value)
+    while shift and scaled:
+        step = min(shift, max(0, _STEER_BITS - math.frexp(scaled)[1]))
+        scaled = math.ldexp(scaled, step)
+        shift -= step
+        if shift:
+            scaled /= lam
+            k += 1
     while scaled > half_range:
         scaled /= lam
         k += 1
@@ -401,7 +415,7 @@ def _best_piece(A: AnosovMatrix, members: tuple, r: Vec, k: int
     return best
 
 
-def recursive_log_decomposition(A: AnosovMatrix, a: Vec, max_depth: int = 64
+def recursive_log_decomposition(A: AnosovMatrix, a: Vec
                                 ) -> DecompositionOutcome:
     """Decompose a member into conjugated bounded pieces, recursively.
 
@@ -409,11 +423,11 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec, max_depth: int = 64
     for each the least matrix power bringing that component into the
     certified half-range, and subtracts the best box vector conjugated by
     that power.  The remainder shrinks by the recorded contraction factor,
-    so the factor count is logarithmic in the input; the emitted expression
-    is re-verified exactly and the trace records every level.
+    so the factor count is logarithmic in the input.  Every level checks
+    the count against the recorded bound ``c1 * log(|a| + 2) + c2``, which
+    therefore also bounds the depth; the emitted expression is re-verified
+    exactly and the trace records every level.
     """
-    if max_depth < 1:
-        raise SolError(f"max_depth must be >= 1, got {max_depth}")
     a = (int(a[0]), int(a[1]))
     if membership_commutator_subgroup(A, a) is None:
         raise SolMembershipError(
@@ -430,45 +444,42 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec, max_depth: int = 64
         "c1": prof.c1,
         "c2": prof.c2,
     }
+    bound = prof.c1 * math.log(_sup(a) + 2) + prof.c2
     factors: list[tuple[SolElement, SolElement]] = []
     levels: list[LevelRecord] = []
     r = a
-    depth = 0
-    while _sup(r) > prof.base_bound:
-        if depth >= max_depth:
-            trace = DecompositionTrace(constants, tuple(levels), len(factors))
-            raise DecompositionDepthError(
-                f"decomposition of {a} exceeded max_depth {max_depth} "
-                f"at remainder {r}", trace)
+    while True:
+        # a level that adds no factor leaves r as it was and fails the
+        # contraction check, and a nonzero remainder ends as one more
+        # factor, so this count never exceeds the final one
+        count = len(factors) + (r != (0, 0))
+        if count > bound:
+            raise SclLabError(
+                f"factor count {count} exceeds the recorded bound "
+                f"{bound:.2f} for {a}; the (c1, c2) constants are wrong")
+        if _sup(r) <= prof.base_bound:
+            break
         r_in = r
         pieces = []
-        alpha = _component(prof.comp_plus, r)
-        k1 = _least_power(alpha, prof.lam, prof.h_plus)
+        k1 = _least_power(prof.comp_plus, r, prof.lam, prof.h_plus)
         b1, r = _best_piece(A, prof.members_plus, r, k1)
         if b1 is not None:
             pieces.append((k1, b1))
             factors.append(_fiber_factor(A, A.apply(b1, k1)))
-        beta = _component(prof.comp_minus, r)
-        k2 = _least_power(beta, prof.lam, prof.h_minus)
+        k2 = _least_power(prof.comp_minus, r, prof.lam, prof.h_minus)
         b2, r = _best_piece(A, prof.members_minus, r, -k2)
         if b2 is not None:
             pieces.append((-k2, b2))
             factors.append(_fiber_factor(A, A.apply(b2, -k2)))
         if _sup(r) >= _sup(r_in):
-            raise RuntimeError(
+            raise SclLabError(
                 f"certified contraction failed at {r_in} -> {r} for {A}; "
                 f"this is a bug in the profile constants")
         levels.append(LevelRecord(r_in, tuple(pieces), r))
-        depth += 1
     if r != (0, 0):
         factors.append(_fiber_factor(A, r))
     expression = SolCommutatorExpression(A, tuple(factors), SolElement(a, 0))
     trace = DecompositionTrace(constants, tuple(levels), len(factors))
-    bound = prof.c1 * math.log(_sup(a) + 2) + prof.c2
-    if trace.factor_count > bound:
-        raise RuntimeError(
-            f"factor count {trace.factor_count} exceeds the recorded bound "
-            f"{bound:.2f} for {a}; the (c1, c2) constants are wrong")
     return DecompositionOutcome(expression, trace)
 
 

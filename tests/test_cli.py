@@ -1,14 +1,23 @@
 """CLI tests: golden records, exit codes, config and output modes."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from scl_lab import cli
 from scl_lab.cli import main
-from scl_lab.scl_engine import CertificateError, SoundnessError, WitnessError
-from scl_lab.sol_geometry import SolCertificateError
+from scl_lab.errors import SclLabError
+from scl_lab.hyperbolic_estimates import AuditError
+from scl_lab.quasimorphisms import DefectCertificateError
+from scl_lab.scl_engine import (
+    CertificateError,
+    SearchBudgetError,
+    SoundnessError,
+    WitnessError,
+)
+from scl_lab.sol_geometry import SolCertificateError, SolProfileError
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -210,14 +219,6 @@ class TestExitCodes:
         assert code == 2
         assert "1.5" in captured.err
 
-    def test_invalid_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCL_LAB_THREADS", "zero")
-        assert main(["hk", "--radius", "2"]) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("SCL_LAB_THREADS", "4")
-        assert main(["hk", "--radius", "2"]) == 0
-        capsys.readouterr()
-
     def test_bad_matrix(self, capsys):
         code = main(["sol", "cert", "--matrix", "2,1,1", "--vector", "1,1"])
         assert code == 2
@@ -228,24 +229,65 @@ class TestExitCodes:
         assert "trace" in captured.err
 
 
+#: every SclLabError class with the exit code and stderr label it must get
+ERROR_EXITS = {
+    SclLabError: (1, "soundness failure"),
+    CertificateError: (1, "certificate check failed"),
+    SolCertificateError: (1, "certificate check failed"),
+    SoundnessError: (1, "soundness failure"),
+    WitnessError: (1, "soundness failure"),
+    DefectCertificateError: (1, "soundness failure"),
+    AuditError: (1, "soundness failure"),
+    SearchBudgetError: (3, "budget exhausted"),
+    SolProfileError: (3, "inconclusive"),
+}
+
+
+def _with_subclasses(cls):
+    out = {cls}
+    for sub in cls.__subclasses__():
+        out |= _with_subclasses(sub)
+    return out
+
+
+def _inject(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "cl_upper", fail)
+    code = main(["cl", "--word", "[a,b]"])
+    return code, capsys.readouterr()
+
+
 class TestInternalErrors:
     """Failures of the program's own checks exit 1 with one stderr line,
-    never 2 ("invalid input") and never a traceback."""
+    never 2 ("invalid input") and never a traceback; a search that cannot
+    conclude exits 3 the same way."""
+
+    def test_every_error_class_is_covered(self):
+        assert _with_subclasses(SclLabError) == set(ERROR_EXITS)
 
     @pytest.mark.parametrize("error", [
-        CertificateError, SolCertificateError, SoundnessError, WitnessError])
+        e for e, (code, _) in ERROR_EXITS.items() if code == 1],
+        ids=lambda e: e.__name__)
     def test_internal_check_failure_is_exit_one(self, capsys, monkeypatch,
                                                 error):
-        def fail(*args, **kwargs):
-            raise error("injected failure")
-
-        monkeypatch.setattr(cli, "cl_upper", fail)
-        code = main(["cl", "--word", "[a,b]"])
-        captured = capsys.readouterr()
+        code, captured = _inject(capsys, monkeypatch, error)
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "injected failure" in captured.err
+        assert captured.err == \
+            f"scl-lab: {ERROR_EXITS[error][1]}: injected failure\n"
+
+    @pytest.mark.parametrize("error", [
+        e for e, (code, _) in ERROR_EXITS.items() if code == 3],
+        ids=lambda e: e.__name__)
+    def test_inconclusive_is_exit_three(self, capsys, monkeypatch, error):
+        code, captured = _inject(capsys, monkeypatch, error)
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == \
+            f"scl-lab: {ERROR_EXITS[error][1]}: injected failure\n"
 
     def test_sol_contraction_failure_is_exit_one(self, capsys):
         # the decomposition's own contraction check fails on this member;
@@ -257,13 +299,47 @@ class TestInternalErrors:
         assert captured.err.count("\n") == 1
         assert "contraction failed" in captured.err
 
-    def test_sol_depth_cap_is_exit_three(self, capsys):
-        code = main(["sol", "decompose", "--matrix=2,1,1,1",
-                     "--vector=100000000000000000000,1", "--max-depth", "2"])
+    def test_sol_profile_that_cannot_certify_is_exit_three(self, capsys):
+        # a valid member, which `sol cert` certifies, but no box up to 8
+        # gives the decomposition a certified contraction
+        assert main(["sol", "cert", "--matrix=7,3,2,1",
+                     "--vector=6,2"]) == 0
+        capsys.readouterr()
+        code = main(["sol", "decompose", "--matrix=7,3,2,1", "--vector=6,2"])
         captured = capsys.readouterr()
         assert code == 3
+        assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "max_depth 2" in captured.err
+        assert captured.err.startswith("scl-lab: inconclusive: ")
+
+    def test_sol_decompose_large_member_within_bound(self, capsys):
+        # no depth cap: the certified factor-count bound is the only limit
+        self.check_large_member(capsys, 10 ** 80)
+
+    def test_sol_decompose_past_float_range(self, capsys):
+        # the float steering does not overflow past 1e308
+        self.check_large_member(capsys, 10 ** 320)
+
+    @staticmethod
+    def check_large_member(capsys, n):
+        captured = run_cli(capsys, "sol", "decompose", "--matrix=2,1,1,1",
+                           f"--vector={n},{n}")
+        (record,) = records_of(captured)
+        result = record["result"]
+        assert result["verified"] is True
+        assert result["target"] == f"(({n},{n}),0)"
+        consts = result["constants"]
+        bound = consts["c1"] * math.log(n + 2) + consts["c2"]
+        assert len(record["certificates"]) == result["factor_count"] <= bound
+        # every factor is [g, (u, 0)] = ((A - I) u, 0), so the fiber parts
+        # of the product add up
+        total = [0, 0]
+        for left, right in record["certificates"]:
+            assert left == "g"
+            u0, u1 = map(int, right.strip("()").split(","))
+            total[0] += u0 + u1
+            total[1] += u0
+        assert total == [n, n]
 
 
 class TestConfig:

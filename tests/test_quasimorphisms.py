@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scl_lab.free_words import ReducedWord, WordError, conjugate, parse_word, power
 from scl_lab.quasimorphisms import (
@@ -26,6 +28,12 @@ from scl_lab.quasimorphisms import (
 
 def w(text, rank=2):
     return parse_word(text, rank)
+
+
+def words(min_size, max_size):
+    return st.builds(lambda letters: ReducedWord(2, letters), st.lists(
+        st.sampled_from([1, -1, 2, -2]), min_size=min_size,
+        max_size=max_size)).filter(lambda u: len(u) >= min_size)
 
 
 def random_reduced(rng, rank, length):
@@ -89,6 +97,12 @@ class TestHomogeneous:
             c = random_reduced(rng, 2, rng.randrange(0, 5))
             assert brooks_homogeneous_exact(pat, conjugate(a, c)) == \
                 brooks_homogeneous_exact(pat, a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(words(2, 4), words(0, 12), words(0, 8))
+    def test_conjugation_invariance_property(self, pat, a, c):
+        assert brooks_homogeneous_exact(pat, conjugate(a, c)) == \
+            brooks_homogeneous_exact(pat, a)
 
     def test_homogenization_error_bound(self):
         # |f(a^n)/n - fbar(a)| <= defect / n for the plain counting handle

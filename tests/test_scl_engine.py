@@ -32,7 +32,6 @@ from scl_lab.scl_engine import (
     scl_lower_bavard,
     scl_report,
     scl_upper_from_power,
-    scl_zero_by_inverse_conjugacy,
 )
 
 
@@ -241,6 +240,15 @@ class TestLowerBounds:
         bound3, _ = scl_lower_bavard(w("[a,b]^3"))
         assert bound3 == Fraction(3, 12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(words(12))
+    def test_bavard_homogeneous_over_fixed_dictionary(self, a):
+        # scl(a^k) = k scl(a), and so is each homogeneous Brooks value
+        dictionary = default_brooks_dictionary(a)
+        bound, _ = scl_lower_bavard(a, dictionary)
+        for k in range(1, 5):
+            assert scl_lower_bavard(power(a, k), dictionary)[0] == k * bound
+
     def test_default_dictionary(self):
         d = default_brooks_dictionary(w("[a,b]"))
         texts = [str(u) for u in d]
@@ -324,20 +332,3 @@ class TestSclReport:
             assert rep.lower == Fraction(1, 12)
             assert rep.upper == Fraction(1, 2)
 
-
-class TestInverseConjugacy:
-    def test_trivial_element_passes(self):
-        cert = scl_zero_by_inverse_conjugacy(w(""), w("ab"), 1)
-        assert cert.kind == "free-group"
-        assert cert.conclusion == "scl(element) = 0"
-
-    def test_nontrivial_free_element_rejected(self):
-        # free groups never conjugate an element to its inverse
-        with pytest.raises(CertificateError):
-            scl_zero_by_inverse_conjugacy(w("a"), w("b"), 1)
-        with pytest.raises(CertificateError):
-            scl_zero_by_inverse_conjugacy(w("abAB"), w("ba"), 2)
-
-    def test_power_must_be_positive(self):
-        with pytest.raises(CertificateError):
-            scl_zero_by_inverse_conjugacy(w(""), w("a"), 0)

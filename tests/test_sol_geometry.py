@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from scl_lab.scl_engine import CertificateError, scl_zero_by_inverse_conjugacy
+from scl_lab import sol_geometry
+from scl_lab.errors import SclLabError
 from scl_lab.sol_geometry import (
+    SOL_IDENTITY_T,
     AnosovMatrix,
-    DecompositionDepthError,
+    SolCertificateError,
     SolCommutatorExpression,
     SolElement,
     SolError,
@@ -20,7 +22,6 @@ from scl_lab.sol_geometry import (
     recursive_log_decomposition,
     sol_commutator,
     sol_conjugate,
-    sol_identity,
     sol_inverse,
     sol_mul,
     sol_power,
@@ -54,7 +55,6 @@ class TestAnosovMatrix:
         A = AnosovMatrix(2, 1, 1, 1)
         assert A.trace == 3
         assert A.flat == (2, 1, 1, 1)
-        assert AnosovMatrix.from_rows([[3, 1], [2, 1]]) == AnosovMatrix(3, 1, 2, 1)
 
     def test_negative_trace_allowed(self):
         A = AnosovMatrix(-2, -1, -1, -1)
@@ -103,8 +103,8 @@ class TestGroupLaw:
         rng = random.Random(1)
         for _ in range(100):
             x = random_element(rng)
-            assert sol_mul(FIB_MATRIX, x, sol_inverse(FIB_MATRIX, x)) == sol_identity()
-            assert sol_mul(FIB_MATRIX, sol_inverse(FIB_MATRIX, x), x) == sol_identity()
+            assert sol_mul(FIB_MATRIX, x, sol_inverse(FIB_MATRIX, x)) == SOL_IDENTITY_T
+            assert sol_mul(FIB_MATRIX, sol_inverse(FIB_MATRIX, x), x) == SOL_IDENTITY_T
 
     def test_associativity(self):
         rng = random.Random(2)
@@ -117,15 +117,15 @@ class TestGroupLaw:
 
     def test_identity_element(self):
         x = SolElement((3, -4), 2)
-        assert sol_mul(FIB_MATRIX, x, sol_identity()) == x
-        assert sol_mul(FIB_MATRIX, sol_identity(), x) == x
+        assert sol_mul(FIB_MATRIX, x, SOL_IDENTITY_T) == x
+        assert sol_mul(FIB_MATRIX, SOL_IDENTITY_T, x) == x
 
     def test_power_matches_iterated_product(self):
         rng = random.Random(3)
         for _ in range(40):
             A = MATRICES[rng.randrange(3)]
             x = random_element(rng)
-            acc = sol_identity()
+            acc = SOL_IDENTITY_T
             for n in range(5):
                 assert sol_power(A, x, n) == acc
                 acc = sol_mul(A, acc, x)
@@ -199,7 +199,7 @@ class TestDirectCertificate:
     def test_identity_gets_empty_expression(self):
         cert = commutator_certificate(FIB_MATRIX, (0, 0))
         assert cert.factor_count == 0
-        assert cert.target == sol_identity()
+        assert cert.target == SOL_IDENTITY_T
 
     def test_powers_stay_single_commutators(self):
         u = membership_commutator_subgroup(FIB_MATRIX, (1, 1))
@@ -215,7 +215,7 @@ class TestDirectCertificate:
 
     def test_expression_verifies_itself(self):
         # wrong target must be rejected at construction
-        with pytest.raises(SolError, match="does not equal"):
+        with pytest.raises(SolCertificateError, match="does not equal"):
             SolCommutatorExpression(
                 FIB_MATRIX, ((G, SolElement((1, 0), 0)),), SolElement((5, 5), 0))
 
@@ -310,18 +310,22 @@ class TestRecursiveDecomposition:
         assert out.trace.constants["contraction_expanding"] < 1
         assert out.trace.constants["contraction_contracting"] < 1
 
+    def test_factor_count_bound_is_enforced(self, monkeypatch):
+        # with c1 = 0 and c2 = 3 the recorded bound is 3 factors, which a
+        # member needing more levels exceeds before the loop runs on
+        real = sol_geometry._decomposition_profile
+        monkeypatch.setattr(sol_geometry, "_decomposition_profile",
+                            lambda flat: real(flat)._replace(c1=0.0, c2=3.0))
+        a = image_vector(FIB_MATRIX, (fib(40), fib(39)))
+        with pytest.raises(SclLabError, match="exceeds the recorded bound"):
+            recursive_log_decomposition(FIB_MATRIX, a)
+        assert recursive_log_decomposition(FIB_MATRIX, (1, 1)) \
+            .trace.factor_count == 1
+
     def test_non_member_rejected(self):
         A = AnosovMatrix(3, 1, 2, 1)
         with pytest.raises(SolMembershipError):
             recursive_log_decomposition(A, (0, 1))
-
-    def test_depth_guard_reports_partial_trace(self):
-        a = image_vector(FIB_MATRIX, (fib(24), fib(23)))
-        with pytest.raises(DecompositionDepthError) as info:
-            recursive_log_decomposition(FIB_MATRIX, a, max_depth=1)
-        assert len(info.value.partial_trace.levels) == 1
-        with pytest.raises(SolError, match="max_depth"):
-            recursive_log_decomposition(FIB_MATRIX, a, max_depth=0)
 
 
 class TestSclReport:
@@ -348,14 +352,3 @@ class TestSclReport:
         assert report.scl == Fraction(0)
         assert report.certificate.factor_count == 0
 
-
-class TestInverseConjugacyBridge:
-    def test_sol_kind_verifies_trivial_element(self):
-        cert = scl_zero_by_inverse_conjugacy(
-            sol_identity(), G, 1, matrix=FIB_MATRIX)
-        assert cert.conclusion == "scl(element) = 0"
-
-    def test_sol_kind_rejects_false_claim(self):
-        b = SolElement((1, 1), 0)
-        with pytest.raises(CertificateError, match="does not invert"):
-            scl_zero_by_inverse_conjugacy(b, G, 1, matrix=FIB_MATRIX)
