@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SclLabError
-
 __all__ = [
     "MAX_NAMED_RANK",
     "ReducedWord",
@@ -182,7 +180,8 @@ class CyclicWord:
             codes = tuple(letters)
         else:
             _, core = _cyclic_split(_reduce(_coerce_codes(letters, rank)))
-            codes = _least_rotation(core)
+            offset, _ = _least_rotation(core)
+            codes = core[offset:] + core[:offset]
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "codes", codes)
 
@@ -216,11 +215,29 @@ class CyclicWord:
         return f"CyclicWord(rank={self.rank}, {str(self)!r})"
 
 
-def _least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
-    if len(codes) < 2:
-        return codes
-    rotations = (codes[i:] + codes[:i] for i in range(len(codes)))
-    return min(rotations, key=_word_key)
+def _least_rotation(codes: Sequence[int]) -> tuple[int, int]:
+    """``(offset, period)`` of the least rotation in the a < A < b < B order.
+
+    ``offset`` is the least ``i`` with ``codes[i:] + codes[:i]`` least, and
+    ``period`` the least ``p`` dividing ``len(codes)`` with rotation by ``p``
+    fixed (0 for the empty word).  One pass of Duval's Lyndon factorization
+    over the doubled word: the last run of equal Lyndon factors that starts
+    in the first half starts at ``offset``, and its factor has length
+    ``period``.
+    """
+    n = len(codes)
+    keys = [_letter_key(c) for c in codes] * 2
+    i = offset = period = 0
+    while i < n:
+        offset = i
+        j, k = i + 1, i
+        while j < 2 * n and keys[k] <= keys[j]:
+            k = i if keys[k] < keys[j] else k + 1
+            j += 1
+        period = j - k
+        while i <= k:
+            i += period
+    return offset, period
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +382,11 @@ def cyclically_reduce(u: ReducedWord) -> tuple[CyclicWord, ReducedWord]:
     conjugator absorbs the rotation so the displayed identity always holds.
     """
     conj, core = _cyclic_split(u.codes)
-    canon = _least_rotation(core)
-    if canon != core:
-        # core = p q, canon = q p, so core = (conj p) canon (conj p)^-1
-        for i in range(1, len(core)):
-            if core[i:] + core[:i] == canon:
-                conj = conj + core[:i]
-                break
+    offset, _ = _least_rotation(core)
+    # core = p q and canon = q p with |p| = offset, so
+    # u = (conj p) canon (conj p)^-1
+    canon = core[offset:] + core[:offset]
+    conj = conj + core[:offset]
     return (CyclicWord(u.rank, canon, _trusted=True),
             ReducedWord(u.rank, conj, _trusted=True))
 
@@ -415,10 +430,12 @@ def count_disjoint_copies(w: ReducedWord, a: ReducedWord) -> int:
 def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
     """Exact per-period disjoint-copy count of ``w`` in the cyclic word ``a``.
 
-    Returns ``lim_n count(w, a^n) / n`` as a rational.  Counts over growing
-    powers have eventually periodic first differences; once the power is long
-    enough (``n |a| > 2 |w| + |a|``) and three consecutive difference blocks
-    of some period agree, the limit is the mean difference over one block.
+    Returns ``lim_n count(w, a^n) / n`` as a rational.  The greedy count in
+    ``a^n`` is the greedy on the periodic word ``a a a ...`` cut at ``n |a|``,
+    and its state after each copy is the restart position mod ``|a|``.  That
+    state repeats within ``|a|`` copies; over the cycle it then follows,
+    ``c`` copies span ``D`` letters, and the limit is exactly
+    ``c |a| / D``.  No power of ``a`` is built.
     """
     if w.rank != a.rank:
         raise RankMismatchError(f"rank {w.rank} vs rank {a.rank}")
@@ -430,22 +447,27 @@ def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
     core = a.codes
     L = len(core)
     k = len(wc)
-    n0 = (2 * k + L) // L + 1  # least n with n*L > 2k + L
-    p_max = L + k + 2
-    max_n = n0 + 4 * p_max + 4
-    diffs: list[int] = []
-    prev = 0
-    for n in range(1, max_n + 1):
-        c = _greedy_count(wc, core * n)
-        diffs.append(c - prev)
-        prev = c
-        for p in range(1, min(p_max, len(diffs) // 3) + 1):
-            if n - 3 * p < n0:
-                continue
-            block = diffs[-p:]
-            if diffs[-3 * p:] == block * 3:
-                return Fraction(sum(block), p)
-    raise SclLabError("difference sequence did not stabilize")  # pragma: no cover
+    ext = core * (1 + (k + L - 2) // L)
+    occurs = [ext[i:i + k] == wc for i in range(L)]
+    if not any(occurs):
+        return Fraction(0)
+    # gap[r]: letters from position r to the next occurrence start
+    gap = [0] * L
+    nxt = occurs.index(True) + L
+    for r in range(L - 1, -1, -1):
+        if occurs[r]:
+            nxt = r
+        gap[r] = nxt - r
+    seen: dict[int, tuple[int, int]] = {}
+    r = copies = span = 0
+    while r not in seen:
+        seen[r] = (copies, span)
+        step = gap[r] + k
+        copies += 1
+        span += step
+        r = (r + step) % L
+    copies0, span0 = seen[r]
+    return Fraction((copies - copies0) * L, span - span0)
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,6 @@ class CommutatorCertificate:
 # ---------------------------------------------------------------------------
 # upper bounds: bounded certificate search
 
-def _primitive_period(codes: tuple[int, ...]) -> int:
-    n = len(codes)
-    for p in range(1, n + 1):
-        if n % p == 0 and codes[p:] + codes[:p] == codes:
-            return p
-    return n  # pragma: no cover - p = n always matches
-
-
 def _genus_one_search(a: ReducedWord, max_len: int):
     """First (u, v) in canonical order with [u, v] = a and both lengths
     within ``max_len``, or None.
@@ -147,25 +139,16 @@ def _genus_one_search(a: ReducedWord, max_len: int):
         c2_raw, core_t = _cyclic_split(t)
         if len(core_u) != len(core_t) or not core_u:
             continue
-        canon_u = _least_rotation(core_u)
-        if canon_u != _least_rotation(core_t):
+        i, p = _least_rotation(core_u)
+        j, _ = _least_rotation(core_t)
+        canon_u = core_u[i:] + core_u[:i]
+        if canon_u != core_t[j:] + core_t[:j]:
             continue
-        c1 = list(c1_raw)
-        for i in range(len(core_u)):
-            if core_u[i:] + core_u[:i] == canon_u:
-                c1 += core_u[:i]
-                break
-        c2 = list(c2_raw)
-        for i in range(len(core_t)):
-            if core_t[i:] + core_t[:i] == canon_u:
-                c2 += core_t[:i]
-                break
         # u^-1 = c1 K c1^-1 and t = c2 K c2^-1 for the same core K, so
         # v0 = c2 c1^-1 conjugates u^-1 to t; the full solution set is
-        # v0 <root> for the primitive root of u^-1
-        c1_t = tuple(c1)
-        c2_t = tuple(c2)
-        p = _primitive_period(canon_u)
+        # v0 <root> for the primitive root of u^-1, of period p
+        c1_t = c1_raw + core_u[:i]
+        c2_t = c2_raw + core_t[:j]
         seed_v = _reduce(c2_t + _inv(c1_t))
         K = max_len + len(seed_v) + 2
         best = None
@@ -383,9 +366,9 @@ def cl_lower(a: ReducedWord,
     """Certified lower bound for commutator length.
 
     A homogeneous quasimorphism f with defect D forces
-    ``cl(a) >= f(a) / (2 D) + 1/2``; the bound below takes the best pattern
-    in the dictionary and rounds up.  The identity gives 0 and any other
-    word at least 1.
+    ``cl(a) >= f(a) / (2 D) + 1/2``; the bound below adds 1/2 to the
+    Bavard bound of ``scl_lower_bavard`` over the dictionary and rounds up.
+    The identity gives 0 and any other word at least 1.
     """
     if a.is_identity():
         return 0
@@ -393,15 +376,8 @@ def cl_lower(a: ReducedWord,
     if any(vec):
         raise NotInCommutatorSubgroupError(
             f"{a} has nonzero abelianization {vec}")
-    if dictionary is None:
-        dictionary = default_brooks_dictionary(a)
-    best = 1
-    for pattern in dictionary:
-        value = abs(brooks_homogeneous_exact(pattern, a))
-        bound = math.ceil((value / HOMOGENEOUS_BROOKS_DEFECT + 1) / 2)
-        if bound > best:
-            best = bound
-    return best
+    lower, _ = scl_lower_bavard(a, dictionary)
+    return max(1, math.ceil(lower + Fraction(1, 2)))
 
 
 def scl_upper_from_power(a: ReducedWord, n: int,

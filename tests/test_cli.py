@@ -49,6 +49,12 @@ class TestDocumentedExamples:
         assert record["certificates"]["pairs"] == [["a", "b"]]
         assert "above-homological-margulis-constant" in record["flags"]
 
+    def test_homogeneous_brooks_on_letter_power(self, capsys):
+        captured = run_cli(capsys, "brooks", "--homogeneous",
+                           "--pattern", "aaaa", "--word", "aaa")
+        (record,) = records_of(captured)
+        assert record["result"]["value"] == "3/4"
+
     def test_hk_radius_two(self, capsys):
         captured = run_cli(capsys, "hk", "--radius", "2")
         (record,) = records_of(captured)

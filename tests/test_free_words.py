@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from scl_lab.free_words import (
     CyclicWord,
     RankMismatchError,
     ReducedWord,
+    _letter_key,
+    _least_rotation,
     WordError,
     WordSyntaxError,
     abelianization,
@@ -216,6 +219,22 @@ class TestCyclicWords:
             for n in (1, 2, 3, 5):
                 assert len(power(u, n)) == n * core.length + 2 * min_conj
 
+    def test_least_rotation_brute_force(self):
+        # offset: least index of the least rotation; period: least p
+        # dividing n with rotation by p fixed.  The offset is the part of
+        # the core that cyclically_reduce moves into the conjugator.
+        assert _least_rotation(()) == (0, 0)
+        for rank, max_len in ((2, 8), (3, 5)):
+            for u in enumerate_reduced_words(rank, max_len, min_len=1):
+                codes = u.codes
+                n = len(codes)
+                rotations = [codes[i:] + codes[:i] for i in range(n)]
+                keys = [[_letter_key(c) for c in r] for r in rotations]
+                offset = keys.index(min(keys))
+                period = min(p for p in range(1, n + 1)
+                             if n % p == 0 and rotations[p % n] == codes)
+                assert _least_rotation(codes) == (offset, period), str(u)
+
     def test_repeat(self):
         core = CyclicWord(2, w("ab").codes)
         assert core.repeat(3) == w("ababab")
@@ -261,6 +280,37 @@ class TestCounting:
         assert count_disjoint_copies_cyclic(w("ba"), CyclicWord(2, w("ab").codes)) == 1
         assert count_disjoint_copies_cyclic(w("aa", rank=1), CyclicWord(1, [1, 1, 1])) == Fraction(3, 2)
         assert count_disjoint_copies_cyclic(w("ab", rank=4), CyclicWord(4, [3, 4])) == 0
+        # a^4 fits 3 times in (aaa)^4 and once in a^4, although the first
+        # differences of the counts over a^n begin with runs of equal values
+        assert count_disjoint_copies_cyclic(w("aaaa"), CyclicWord(2, [1])) == Fraction(1, 4)
+        assert count_disjoint_copies_cyclic(w("aaaa"), CyclicWord(2, [1, 1, 1])) == Fraction(3, 4)
+        assert count_disjoint_copies_cyclic(w("bbbb"), CyclicWord(2, [2])) == Fraction(1, 4)
+
+    def test_cyclic_exact_against_string_count(self):
+        # str.count is the leftmost greedy count of non-overlapping copies.
+        # The greedy's restart cycle and its lead-in each span fewer than
+        # |core| + |w| copies of the core, so with M = N = lcm(1..|core|+|w|)
+        # the difference quotient below is the limit itself.
+        def oracle(wc, core):
+            m = math.lcm(*range(1, core.length + len(wc) + 1))
+            text, pattern = str(core), str(wc)
+            return Fraction((text * (2 * m)).count(pattern)
+                            - (text * m).count(pattern), m)
+
+        cases = []
+        for x in "aAbB":
+            for y in "aAb":
+                for k in range(2, 7):
+                    for j in range(1, 7):
+                        cases.append((w(x * k), CyclicWord(2, w(y * j).codes)))
+        rng = random.Random(47)
+        while len(cases) < 700:
+            wc = random_reduced(rng, 2, rng.randrange(2, 5))
+            core, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(1, 8)))
+            if core.length:
+                cases.append((wc, core))
+        for wc, core in cases:
+            assert count_disjoint_copies_cyclic(wc, core) == oracle(wc, core), (str(wc), str(core))
 
     def test_cyclic_agrees_with_large_power_average(self):
         rng = random.Random(41)
