@@ -24,7 +24,6 @@ The CLI (``python -m scl_lab`` or the ``scl-lab`` script) exposes the same
 operations as JSON-line records.
 """
 
-from scl_lab.config import Config, ConfigError, default_config, load_config
 from scl_lab.errors import SclLabError
 from scl_lab.free_words import (
     CyclicWord,
@@ -123,8 +122,6 @@ __all__ = [
     "__version__",
     # errors that are not about invalid input
     "SclLabError",
-    # configuration
-    "Config", "ConfigError", "default_config", "load_config",
     # words
     "CyclicWord", "RankMismatchError", "ReducedWord", "WordError", "WordSyntaxError", "abelianization", "commutator", "concat",
     "conjugate", "count_disjoint_copies", "count_disjoint_copies_cyclic",

@@ -7,7 +7,13 @@ floats); real numbers are rounded to 12 significant digits.  Exit codes:
 0 success, 1 failed audit, certificate or soundness check, 2 invalid input,
 3 inconclusive: a search budget ran out, or no Sol decomposition profile
 certifies for the matrix.  Codes 1 and 3 come from the ``SclLabError``
-raised; every other ``ValueError`` is invalid input.
+raised; every other ``ValueError``, and any ``OverflowError`` or
+``ZeroDivisionError`` of a float calculator, is invalid input.
+
+Every setting is a flag of the commands that read it: the search budgets
+belong to ``scl`` and ``cl`` (defaults from ``scl_engine``), ``--seed`` to
+``defect`` and ``audit``, and ``--config``, a file of Margulis constants,
+to ``gap``; ``--table`` is on every command.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .config import Config, default_config, load_config
 from .errors import SclLabError
 from .free_words import (
     ReducedWord,
@@ -59,6 +64,10 @@ from .quasimorphisms import (
     rotation_number,
 )
 from .scl_engine import (
+    DEFAULT_MAX_GENUS,
+    DEFAULT_MAX_LEN,
+    DEFAULT_N_MAX,
+    DEFAULT_PAIR_BUDGET,
     NotInCommutatorSubgroupError,
     cl_lower,
     cl_upper,
@@ -84,6 +93,8 @@ PROG = "scl-lab"
 
 def _real(x: float) -> float:
     """Round to 12 significant digits so records are stable across runs."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x} cannot be written as JSON")
     return float(f"{x:.12g}")
 
 
@@ -187,7 +198,7 @@ def _word_arg(args, attr: str = "word") -> ReducedWord:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (records, exit code)
 
-def _cmd_word(args, cfg: Config):
+def _cmd_word(args):
     word = _word_arg(args)
     core, conj = cyclically_reduce(word)
     result = {
@@ -203,7 +214,7 @@ def _cmd_word(args, cfg: Config):
     return [_record("word", inputs, result)], 0
 
 
-def _cmd_brooks(args, cfg: Config):
+def _cmd_brooks(args):
     pattern = _word_arg(args, "pattern")
     word = _word_arg(args)
     handle = brooks_homogeneous(pattern) if args.homogeneous else brooks(pattern)
@@ -220,7 +231,7 @@ def _cmd_brooks(args, cfg: Config):
     return [_record("brooks", inputs, result)], 0
 
 
-def _cmd_defect(args, cfg: Config):
+def _cmd_defect(args):
     pattern = _word_arg(args, "pattern")
     handle = brooks_homogeneous(pattern) if args.homogeneous else brooks(pattern)
     scan = defect_observed(handle, args.length_budget,
@@ -240,15 +251,10 @@ def _cmd_defect(args, cfg: Config):
     return [_record("defect", inputs, result)], 0
 
 
-def _cmd_scl(args, cfg: Config):
+def _cmd_scl(args):
     word = _word_arg(args)
-    n_max = args.n_max if args.n_max is not None else cfg.n_max
-    max_len = args.max_len if args.max_len is not None else cfg.max_len
-    max_genus = args.max_genus if args.max_genus is not None else cfg.max_genus
-    pair_budget = (args.pair_budget if args.pair_budget is not None
-                   else cfg.pair_budget)
-    report = scl_report(word, n_max=n_max, max_len=max_len,
-                        max_genus=max_genus, pair_budget=pair_budget)
+    report = scl_report(word, n_max=args.n_max, max_len=args.max_len,
+                        max_genus=args.max_genus, pair_budget=args.pair_budget)
     result: dict = {"status": report.status}
     if report.lower is not None:
         result["lower"] = _frac(report.lower)
@@ -268,28 +274,24 @@ def _cmd_scl(args, cfg: Config):
             "power": report.power,
             "pairs": [[str(u), str(v)] for u, v in report.certificate.pairs],
         }
-    inputs = {"word": args.word, "rank": args.rank, "n_max": n_max,
-              "max_len": max_len, "max_genus": max_genus,
-              "pair_budget": pair_budget}
+    inputs = {"word": args.word, "rank": args.rank, "n_max": args.n_max,
+              "max_len": args.max_len, "max_genus": args.max_genus,
+              "pair_budget": args.pair_budget}
     code = 3 if report.status == "inconclusive" else 0
     return [_record("scl", inputs, result, certificates, report.flags)], code
 
 
-def _cmd_cl(args, cfg: Config):
+def _cmd_cl(args):
     word = _word_arg(args)
-    max_len = args.max_len if args.max_len is not None else cfg.max_len
-    max_genus = args.max_genus if args.max_genus is not None else cfg.max_genus
-    pair_budget = (args.pair_budget if args.pair_budget is not None
-                   else cfg.pair_budget)
-    inputs = {"word": args.word, "rank": args.rank, "max_len": max_len,
-              "max_genus": max_genus, "pair_budget": pair_budget}
+    inputs = {"word": args.word, "rank": args.rank, "max_len": args.max_len,
+              "max_genus": args.max_genus, "pair_budget": args.pair_budget}
     try:
         lower = cl_lower(word)
     except NotInCommutatorSubgroupError:
         result = {"in_commutator_subgroup": False, "cl": "infinity"}
         return [_record("cl", inputs, result)], 0
-    cert = cl_upper(word, max_genus=max_genus, max_len=max_len,
-                    pair_budget=pair_budget)
+    cert = cl_upper(word, max_genus=args.max_genus, max_len=args.max_len,
+                    pair_budget=args.pair_budget)
     result = {"in_commutator_subgroup": True, "lower": lower}
     certificates = None
     flags = []
@@ -304,7 +306,7 @@ def _cmd_cl(args, cfg: Config):
     return [_record("cl", inputs, result, certificates, flags)], code
 
 
-def _cmd_rot(args, cfg: Config):
+def _cmd_rot(args):
     matrix = [float(x) for x in args.matrix.split(",")]
     if len(matrix) != 4:
         raise ValueError(
@@ -318,7 +320,7 @@ def _cmd_rot(args, cfg: Config):
     return [_record("rot", inputs, result)], 0
 
 
-def _cmd_tube(args, cfg: Config):
+def _cmd_tube(args):
     params = TubeParams(args.length, args.radius)
     qm = tube_qm_value(params)
     result = {
@@ -331,13 +333,13 @@ def _cmd_tube(args, cfg: Config):
     return [_record("tube", inputs, result)], 0
 
 
-def _cmd_hk(args, cfg: Config):
+def _cmd_hk(args):
     result = {"min_core_length": _real(hk_min_core_length(args.radius))}
     inputs = {"radius": _real(args.radius)}
     return [_record("hk", inputs, result)], 0
 
 
-def _cmd_surgery_a(args, cfg: Config):
+def _cmd_surgery_a(args):
     surface = SurfaceData(args.chi, args.multiplicity)
     upper = scl_upper_from_surgery(surface, args.p)
     result = {
@@ -351,7 +353,7 @@ def _cmd_surgery_a(args, cfg: Config):
     return [_record("surgery-a", inputs, result)], 0
 
 
-def _cmd_surgery_b(args, cfg: Config):
+def _cmd_surgery_b(args):
     value = genus_bound_from_meridian(args.meridian_length, args.variant)
     result = {"scl_lower": _real(value), "variant": args.variant}
     inputs = {"meridian_length": _real(args.meridian_length),
@@ -359,7 +361,7 @@ def _cmd_surgery_b(args, cfg: Config):
     return [_record("surgery-b", inputs, result)], 0
 
 
-def _cmd_nz(args, cfg: Config):
+def _cmd_nz(args):
     meridian = _parse_float_pair(args.meridian, "--meridian")
     longitude = _parse_float_pair(args.longitude, "--longitude")
     cusp = CuspShape(meridian, longitude)
@@ -374,7 +376,55 @@ def _cmd_nz(args, cfg: Config):
     return [_record("nz", inputs, result, flags=["approximate"])], 0
 
 
-def _cmd_gap(args, cfg: Config):
+# placeholder, non-normative: a frequently quoted working value for the
+# 3-dimensional Margulis constant, supplied only so the gap calculator has
+# something to check against by default; override via --config for real use
+DEFAULT_MARGULIS_CONSTANTS = {3: 0.29}
+
+
+def _margulis_constants(path: Optional[str]) -> dict[int, float]:
+    """Read ``{"margulis_constants": {"<dim>": value}}`` from a JSON file;
+    a file without the key, or no file, gives the shipped default."""
+    if path is None:
+        return DEFAULT_MARGULIS_CONSTANTS
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    known = {"margulis_constants"}
+    unknown = set(raw) - known
+    if unknown:
+        raise ValueError(
+            f"unknown config keys {sorted(unknown)}; known keys are {sorted(known)}")
+    if "margulis_constants" not in raw:
+        return DEFAULT_MARGULIS_CONSTANTS
+    table = raw["margulis_constants"]
+    if not isinstance(table, dict):
+        raise ValueError("margulis_constants must be an object of dimension: value")
+    parsed = {}
+    for key, value in table.items():
+        try:
+            dim = int(key)
+        except (TypeError, ValueError):
+            raise ValueError(f"margulis dimension {key!r} is not an integer") from None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"margulis constant for n={dim} must be a number")
+        parsed[dim] = float(value)
+    for dim, eps in parsed.items():
+        if dim < 2:
+            raise ValueError(f"margulis dimension must be an integer >= 2, got {dim!r}")
+        if not eps > 0:
+            raise ValueError(f"margulis constant for n={dim} must be positive, got {eps}")
+    return parsed
+
+
+def _cmd_gap(args):
+    constants = _margulis_constants(args.config)
     if args.optimal:
         if args.cap is None:
             raise ValueError("--optimal needs --cap")
@@ -385,7 +435,7 @@ def _cmd_gap(args, cfg: Config):
         return [_record("gap", inputs, result)], 0
     if args.m is None or args.genus is None or args.epsilon is None:
         raise ValueError("gap needs --m, --genus and --epsilon (or --optimal)")
-    margulis = cfg.margulis_for(args.dim) if args.dim is not None else None
+    margulis = constants.get(args.dim)
     params = GapParams(args.m, args.genus, args.epsilon, margulis)
     value = length_gap_bound(params, args.variant)
     result = {"length_gap": _real(value), "variant": args.variant}
@@ -403,7 +453,7 @@ def _cmd_gap(args, cfg: Config):
 # ---------------------------------------------------------------------------
 # sol subcommands
 
-def _cmd_sol_member(args, cfg: Config):
+def _cmd_sol_member(args):
     A = _matrix_arg(args)
     vec = _vector_arg(args)
     u = membership_commutator_subgroup(A, vec)
@@ -417,7 +467,7 @@ def _cmd_sol_member(args, cfg: Config):
     return [_record("sol member", inputs, result)], 0
 
 
-def _cmd_sol_cert(args, cfg: Config):
+def _cmd_sol_cert(args):
     A = _matrix_arg(args)
     vec = _vector_arg(args)
     inputs = {"matrix": list(A.flat), "vector": list(vec)}
@@ -435,7 +485,7 @@ def _cmd_sol_cert(args, cfg: Config):
     return [_record("sol cert", inputs, result, certificates)], 0
 
 
-def _cmd_sol_decompose(args, cfg: Config):
+def _cmd_sol_decompose(args):
     A = _matrix_arg(args)
     vec = _vector_arg(args)
     outcome = recursive_log_decomposition(A, vec)
@@ -453,7 +503,7 @@ def _cmd_sol_decompose(args, cfg: Config):
     return [_record("sol decompose", inputs, result, certificates)], 0
 
 
-def _cmd_sol_report(args, cfg: Config):
+def _cmd_sol_report(args):
     A = _matrix_arg(args)
     vec = _vector_arg(args)
     report = sol_scl_report(A, vec)
@@ -471,7 +521,7 @@ def _cmd_sol_report(args, cfg: Config):
     return [_record("sol report", inputs, result, certificates)], 0
 
 
-def _cmd_sol_mul(args, cfg: Config):
+def _cmd_sol_mul(args):
     A = _matrix_arg(args)
     x = _parse_int_list(args.x, 3, "--x")
     y = _parse_int_list(args.y, 3, "--y")
@@ -503,7 +553,7 @@ def _brute_max_disjoint(starts: list[int], length: int) -> int:
     return best(0, 0)
 
 
-def _audit_checks(args, cfg: Config):
+def _audit_checks(args):
     grid = ([float(x) for x in args.grid.split(",")] if args.grid
             else [2.0 + 8.0 * i / 1000.0 for i in range(1, 1001)])
 
@@ -562,11 +612,11 @@ def _audit_checks(args, cfg: Config):
             ("greedy-counting", counting_check)]
 
 
-def _cmd_audit(args, cfg: Config):
+def _cmd_audit(args):
     records = []
     failed = False
     inputs = {"grid": args.grid, "seed": args.seed}
-    for name, check in _audit_checks(args, cfg):
+    for name, check in _audit_checks(args):
         try:
             detail = check()
             result = {"check": name, "passed": True, **detail}
@@ -582,12 +632,16 @@ def _cmd_audit(args, cfg: Config):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON config with Margulis constants and budgets")
     common.add_argument("--table", action="store_true",
                         help="human-readable table output instead of JSON")
-    common.add_argument("--seed", type=int, default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="seed for randomized scans (default 0)")
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+    budgets.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS)
+    budgets.add_argument("--pair-budget", type=int,
+                         default=DEFAULT_PAIR_BUDGET)
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -609,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homogeneous", action="store_true")
     p.set_defaults(handler=_cmd_brooks)
 
-    p = sub.add_parser("defect", parents=[common],
+    p = sub.add_parser("defect", parents=[common, seeded],
                        help="scan for the observed defect of a quasimorphism")
     p.add_argument("--pattern", required=True)
     p.add_argument("--rank", type=int, default=2)
@@ -618,23 +672,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.set_defaults(handler=_cmd_defect)
 
-    p = sub.add_parser("scl", parents=[common],
+    p = sub.add_parser("scl", parents=[common, budgets],
                        help="two-sided certified scl bounds")
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--max-genus", type=int)
-    p.add_argument("--pair-budget", type=int)
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(handler=_cmd_scl)
 
-    p = sub.add_parser("cl", parents=[common],
+    p = sub.add_parser("cl", parents=[common, budgets],
                        help="commutator length bounds with certificates")
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--max-genus", type=int)
-    p.add_argument("--pair-budget", type=int)
     p.set_defaults(handler=_cmd_cl)
 
     p = sub.add_parser("rot", parents=[common],
@@ -693,9 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "constant for this dimension")
     p.add_argument("--optimal", action="store_true")
     p.add_argument("--cap", type=float)
+    p.add_argument("--config", metavar="PATH",
+                   help='JSON file {"margulis_constants": {"<dim>": value}} '
+                        "replacing the shipped placeholder {3: 0.29}")
     p.set_defaults(handler=_cmd_gap)
 
-    p = sub.add_parser("sol", parents=[common],
+    p = sub.add_parser("sol",
                        help="Sol-lattice arithmetic and scl-zero certificates")
     sol_sub = p.add_subparsers(dest="sol_command", required=True)
     for name, handler in (
@@ -717,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="two comma-separated integers")
         q.set_defaults(handler=handler)
 
-    p = sub.add_parser("audit", parents=[common],
+    p = sub.add_parser("audit", parents=[common, seeded],
                        help="run the built-in soundness checks")
     p.add_argument("--grid", help="comma-separated tube radii > 2 for the "
                                   "surgery inequality audit")
@@ -733,12 +784,11 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        records, code = args.handler(args, cfg)
+        records, code = args.handler(args)
     except SclLabError as exc:
         print(f"{PROG}: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     _emit(records, args.table)

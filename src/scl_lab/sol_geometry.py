@@ -154,12 +154,16 @@ def sol_inverse(A: AnosovMatrix, x: SolElement) -> SolElement:
 
 
 def sol_power(A: AnosovMatrix, x: SolElement, n: int) -> SolElement:
-    if x.t == 0:
-        return SolElement((n * x.v[0], n * x.v[1]), 0)
+    """``x^n`` by repeated squaring: O(log |n|) products."""
     base = x if n >= 0 else sol_inverse(A, x)
     out = SOL_IDENTITY_T
-    for _ in range(abs(n)):
-        out = sol_mul(A, out, base)
+    n = abs(n)
+    while n:
+        if n & 1:
+            out = sol_mul(A, out, base)
+        n >>= 1
+        if n:
+            base = sol_mul(A, base, base)
     return out
 
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -349,14 +351,6 @@ class TestInternalErrors:
 
 
 class TestConfig:
-    def test_budget_override(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"max_len": 5}))
-        captured = run_cli(capsys, "cl", "--word", "[a,b]",
-                           "--config", str(path))
-        (record,) = records_of(captured)
-        assert record["inputs"]["max_len"] == 5
-
     def test_margulis_override(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"margulis_constants": {"4": 0.27}}))
@@ -367,18 +361,113 @@ class TestConfig:
         assert record["result"]["margulis_constant"] == 0.27
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
+        self.check_rejected(capsys, tmp_path, "maxlen")
+
+    def test_budget_key_rejected(self, capsys, tmp_path):
+        # the search budgets are flags of scl and cl, not config keys
+        self.check_rejected(capsys, tmp_path, "max_len")
+
+    @staticmethod
+    def check_rejected(capsys, tmp_path, key):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"maxlen": 5}))
-        code = main(["hk", "--radius", "2", "--config", str(path)])
+        path.write_text(json.dumps({key: 5}))
+        code = main(["gap", "--optimal", "--cap", "1", "--config", str(path)])
         captured = capsys.readouterr()
         assert code == 2
-        assert "maxlen" in captured.err
+        assert captured.out == ""
+        assert key in captured.err
 
-    def test_command_line_beats_config(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"max_len": 5, "n_max": 2}))
-        captured = run_cli(capsys, "scl", "--word", "[a,b]",
-                           "--max-len", "6", "--config", str(path))
-        (record,) = records_of(captured)
-        assert record["inputs"]["max_len"] == 6
-        assert record["inputs"]["n_max"] == 2
+
+#: float calculator inputs whose arithmetic overflows, divides by zero or
+#: gives a value JSON cannot hold
+FLOAT_FAILURES = [
+    ("hk", "--radius", "1000"),
+    ("tube", "--length", "1", "--radius", "1000"),
+    ("surgery-b", "--meridian-length", "1e-200"),
+    ("tube", "--length", "inf", "--radius", "2"),
+    ("surgery-a", "--chi", "-1", "--radius", "inf", "--p", "3"),
+    ("gap", "--m", "100", "--genus", "1", "--epsilon", "1e-320"),
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT_FAILURES, ids=" ".join)
+def test_float_failure_is_invalid_input(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("scl-lab: error: ")
+
+
+def test_readme_cli_examples_byte_for_byte(capsys):
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples = [(line, lines[i + 1]) for i, line in enumerate(lines)
+                if line.startswith("$ scl-lab ")]
+    assert len(examples) >= 4
+    for command, expected in examples:
+        captured = run_cli(capsys, *shlex.split(command)[2:])
+        assert captured.out == expected + "\n", command
+
+
+#: a minimal valid command line for every leaf command
+LEAF_ARGV = {
+    "word": ["word", "--word", "ab"],
+    "brooks": ["brooks", "--pattern", "ab", "--word", "ab"],
+    "defect": ["defect", "--pattern", "ab"],
+    "scl": ["scl", "--word", "[a,b]"],
+    "cl": ["cl", "--word", "[a,b]"],
+    "rot": ["rot", "--matrix", "1,0,0,1"],
+    "tube": ["tube", "--length", "1", "--radius", "2"],
+    "hk": ["hk", "--radius", "2"],
+    "surgery-a": ["surgery-a", "--chi", "-1", "--radius", "2", "--p", "3"],
+    "surgery-b": ["surgery-b", "--meridian-length", "6.3"],
+    "nz": ["nz", "--meridian", "1,0", "--longitude", "0,1",
+           "--p", "5", "--q", "1"],
+    "gap": ["gap", "--optimal", "--cap", "1"],
+    "sol member": ["sol", "member", "--matrix=2,1,1,1", "--vector=1,1"],
+    "sol cert": ["sol", "cert", "--matrix=2,1,1,1", "--vector=1,1"],
+    "sol decompose": ["sol", "decompose", "--matrix=2,1,1,1",
+                      "--vector=1,1"],
+    "sol report": ["sol", "report", "--matrix=2,1,1,1", "--vector=1,1"],
+    "sol mul": ["sol", "mul", "--matrix=2,1,1,1", "--x=1,0,1", "--y=0,1,0"],
+    "audit": ["audit"],
+}
+
+
+def _parses(argv) -> bool:
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+class TestParserShape:
+    """Each setting is an option of exactly the commands that read it."""
+
+    @pytest.mark.parametrize("leaf", LEAF_ARGV)
+    def test_leaf_options(self, capsys, leaf):
+        argv = LEAF_ARGV[leaf]
+        assert main(leaf.split() + ["--help"]) == 0
+        assert _parses(argv)
+        assert _parses(argv + ["--table"])
+        assert _parses(argv + ["--seed", "1"]) == (leaf in ("defect", "audit"))
+        assert _parses(argv + ["--config", "x.json"]) == (leaf == "gap")
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("option", [["--table"], ["--seed", "1"],
+                                        ["--config", "x.json"]])
+    def test_sol_group_takes_no_option(self, capsys, option):
+        code = main(["sol", *option, "cert", "--matrix=2,1,1,1",
+                     "--vector=1,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+
+    def test_sol_leaf_table(self, capsys):
+        captured = run_cli(capsys, "sol", "cert", "--table",
+                           "--matrix=2,1,1,1", "--vector=1,1")
+        assert "result.factor_count  1" in captured.out
+        assert "{" not in captured.out

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,16 @@ class TestGroupLaw:
                 assert sol_power(A, x, n) == acc
                 acc = sol_mul(A, acc, x)
             assert sol_power(A, x, -3) == sol_inverse(A, sol_power(A, x, 3))
+
+    def test_power_adds_exponents_at_large_n(self):
+        # repeated squaring: x^(m+n) = x^m x^n with m, n near 10^5
+        x = SolElement((1, 0), 1)
+        m, n = 100_003, 99_998
+        start = time.perf_counter()
+        assert sol_power(FIB_MATRIX, x, m + n) == sol_mul(
+            FIB_MATRIX, sol_power(FIB_MATRIX, x, m),
+            sol_power(FIB_MATRIX, x, n))
+        assert time.perf_counter() - start < 1.0
 
     def test_fiber_power_closed_form(self):
         x = SolElement((2, -5), 0)
