@@ -307,10 +307,14 @@ def _cmd_cl(args):
 
 
 def _cmd_rot(args):
-    matrix = [float(x) for x in args.matrix.split(",")]
+    entries = args.matrix.split(",")
+    matrix = [float(x) for x in entries]
     if len(matrix) != 4:
         raise ValueError(
             f"--matrix needs four comma-separated reals, got {args.matrix!r}")
+    for text, x in zip(entries, matrix):
+        if not math.isfinite(x):
+            raise ValueError(f"--matrix entry {text.strip()!r} is not finite")
     lift = lift_from_matrix(matrix, branch=args.branch)
     estimate = rotation_number(lift, args.iterations)
     result = {"estimate": _real(estimate.value),

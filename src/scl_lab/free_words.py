@@ -491,6 +491,38 @@ def _codes_up_to(rank: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _count_up_to(rank: int, max_len: int) -> int:
+    """Number of reduced words of length <= max_len, in closed form: one
+    empty word and ``2 rank (2 rank - 1)^(k - 1)`` words of each length k."""
+    if max_len < 0:
+        raise WordError(f"max_len must be >= 0, got {max_len}")
+    if rank == 1:
+        return 1 + 2 * max_len
+    q = 2 * rank - 1
+    return 1 + rank * (q ** max_len - 1) // (rank - 1)
+
+
+def _unrank_codes(rank: int, index: int) -> tuple[int, ...]:
+    """The word at position ``index`` of ``_codes_up_to`` order, without
+    building the list: past the length classes, the first letter is a digit
+    in base ``2 rank`` and each later one a digit in base ``2 rank - 1``
+    over the letters that do not cancel the one before."""
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    q = 2 * rank - 1
+    length, layer = 0, 1
+    while index >= layer:
+        index -= layer
+        length += 1
+        layer = 2 * rank * q ** (length - 1)
+    codes: list[int] = []
+    last = 0
+    for place in range(length - 1, -1, -1):
+        digit, index = divmod(index, q ** place)
+        last = [c for c in letters if c != -last][digit]
+        codes.append(last)
+    return tuple(codes)
+
+
 def enumerate_reduced_words(rank: int, max_len: int, min_len: int = 0) -> Iterator[ReducedWord]:
     """Yield every reduced word with min_len <= length <= max_len.
 

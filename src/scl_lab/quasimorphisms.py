@@ -19,8 +19,11 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import SclLabError
 from .free_words import (
+    CyclicWord,
     ReducedWord,
     WordError,
+    _count_up_to,
+    _unrank_codes,
     count_disjoint_copies,
     count_disjoint_copies_cyclic,
     cyclically_reduce,
@@ -102,16 +105,18 @@ def brooks(w: ReducedWord) -> QuasimorphismHandle:
         defect_certificate=BROOKS_DEFECT)
 
 
-def brooks_homogeneous_exact(w: ReducedWord, a: ReducedWord) -> Fraction:
+def brooks_homogeneous_exact(w: ReducedWord,
+                             a: Union[ReducedWord, CyclicWord]) -> Fraction:
     """Exact value of the homogenized counting quasimorphism of ``w`` at ``a``.
 
     Equals ``lim_n brooks(w)(a^n) / n``, computed as a rational via cyclic
     counting on the cyclic core of ``a``.  Conjugation-invariant by
-    construction.
+    construction.  A ``CyclicWord`` is taken as that core already, so a
+    scan over many patterns reduces ``a`` once.
     """
     if len(w) < 2:
         raise WordError(f"brooks pattern must have length >= 2, got {len(w)}")
-    core, _ = cyclically_reduce(a)
+    core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     if core.length == 0:
         return Fraction(0)
     return (count_disjoint_copies_cyclic(w, core)
@@ -191,14 +196,15 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
     observation beats the handle's certified bound, since that means the
     certificate (or the evaluator) is wrong.
     """
-    words = list(enumerate_reduced_words(handle.rank, max_len))
-    values = {u: handle.evaluate(u) for u in words}
-    n = len(words)
+    rank = handle.rank
+    n = _count_up_to(rank, max_len)
     best: Value = 0
     evaluate = handle.evaluate
     if n * n <= pairs_threshold:
         mode = "exhaustive"
         pairs = n * n
+        words = list(enumerate_reduced_words(rank, max_len))
+        values = {u: evaluate(u) for u in words}
         for a in words:
             fa = values[a]
             for b in words:
@@ -206,13 +212,16 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
                 if d > best:
                     best = d
     else:
+        # draw positions in enumeration order and build only those words
         mode = "sampled"
         pairs = samples
         rng = random.Random(seed)
         for _ in range(samples):
-            a = words[rng.randrange(n)]
-            b = words[rng.randrange(n)]
-            d = abs(evaluate(a * b) - values[a] - values[b])
+            a = ReducedWord(rank, _unrank_codes(rank, rng.randrange(n)),
+                            _trusted=True)
+            b = ReducedWord(rank, _unrank_codes(rank, rng.randrange(n)),
+                            _trusted=True)
+            d = abs(evaluate(a * b) - evaluate(a) - evaluate(b))
             if d > best:
                 best = d
     cert = handle.defect_certificate

@@ -14,12 +14,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from typing import Optional
 
 from .errors import SclLabError
 from .free_words import (
     ReducedWord,
     _codes_up_to,
+    _count_up_to,
     _cyclic_split,
     _inv,
     _least_rotation,
@@ -173,29 +175,105 @@ def _unpack(key: bytes) -> tuple[int, ...]:
     return tuple(b - _PACK_OFFSET for b in key)
 
 
-def _pack_inverse(key: bytes) -> bytes:
-    return bytes(2 * _PACK_OFFSET - b for b in reversed(key))
+#: ``bytes.translate`` table sending each packed letter to its inverse
+_INVERSE_LETTERS = bytes((2 * _PACK_OFFSET - b) % 256 for b in range(256))
+
+
+def _inverse(key: bytes) -> bytes:
+    return key[::-1].translate(_INVERSE_LETTERS)
+
+
+def _join(x: bytes, y: bytes) -> bytes:
+    """Free reduction of ``x y`` for reduced ``x`` and ``y``: only letters
+    at the junction can cancel."""
+    k, n = 0, min(len(x), len(y))
+    while k < n and x[-1 - k] + y[k] == 2 * _PACK_OFFSET:
+        k += 1
+    return x[:len(x) - k] + y[k:]
+
+
+# Signed letter permutations map commutators to commutators of the same
+# lengths, so the index keeps one word per orbit: the least image in byte
+# order.  Relabelling greedily gives it: in order of first occurrence, each
+# new generator goes to the largest unused one, with the sign that makes its
+# letter negative (packed negative letters of large generators are the
+# smallest bytes).  The canonical form of a prefix is the prefix of the
+# canonical form.
+
+def _signature(key: bytes, rank: int) -> bytes:
+    """The letters of ``key`` that first use each generator, in order."""
+    sig: list[int] = []
+    for x in key:
+        if x not in sig and 2 * _PACK_OFFSET - x not in sig:
+            sig.append(x)
+            if len(sig) == rank:
+                break
+    return bytes(sig)
+
+
+@lru_cache(maxsize=4096)
+def _canon_table(rank: int, sig: bytes) -> bytes:
+    table = bytearray(range(256))
+    for i, x in enumerate(sig):
+        table[x] = _PACK_OFFSET - (rank - i)
+        table[2 * _PACK_OFFSET - x] = _PACK_OFFSET + (rank - i)
+    return bytes(table)
+
+
+def _canon(key: bytes, rank: int) -> bytes:
+    """The representative of the orbit of ``key`` under signed letter
+    permutations."""
+    return key.translate(_canon_table(rank, _signature(key, rank)))
+
+
+@lru_cache(maxsize=4096)
+def _restore_tables(rank: int, sig: bytes, extra: int) -> tuple[bytes, ...]:
+    """Every relabelling that sends the canonical form of a word with first
+    letters ``sig`` back to that word, restricted to the generators of a
+    representative that uses ``extra`` generators more: fixed on the
+    generators of ``sig``, and injective with either sign on the others."""
+    base = bytearray(range(256))
+    for i, x in enumerate(sig):
+        base[_PACK_OFFSET - (rank - i)] = x
+        base[_PACK_OFFSET + (rank - i)] = 2 * _PACK_OFFSET - x
+    taken = {abs(x - _PACK_OFFSET) for x in sig}
+    free = [g for g in range(1, rank + 1) if g not in taken]
+    added = [rank - len(sig) - j for j in range(extra)]
+    tables = []
+    for targets in permutations(free, extra):
+        for signs in product((1, -1), repeat=extra):
+            table = bytearray(base)
+            for g, t, s in zip(added, targets, signs):
+                table[_PACK_OFFSET - g] = _PACK_OFFSET + s * t
+                table[_PACK_OFFSET + g] = _PACK_OFFSET - s * t
+            tables.append(bytes(table))
+    return tuple(tables)
 
 
 @lru_cache(maxsize=4)
 def _commutator_value_index(rank: int, max_len: int):
-    """All values of single commutators with both entries within ``max_len``.
+    """Values of single commutators with both entries within ``max_len``,
+    one per orbit of the signed letter permutations.
 
-    Returns (sorted key list, key set) with words packed as byte strings.
-    The set is closed under inversion because [u, v]^-1 = [v, u].
+    Returns (representatives in ``(len, bytes)`` order, their set), with
+    words packed as byte strings.  Since ``s[u, v] = [su, sv]``, it is
+    enough to let ``u`` range over canonical words.  The full value set is
+    closed under inversion because ``[u, v]^-1 = [v, u]``.
     """
-    vocab = [c for c in _codes_up_to(rank, max_len) if c]
+    vocab = [_pack(c) for c in _codes_up_to(rank, max_len) if c]
+    entries = [(v, _inverse(v)) for v in vocab]
     seen: set[bytes] = set()
     add = seen.add
-    for i, u in enumerate(vocab):
-        iu = _inv(u)
-        for v in vocab[i + 1:]:
-            c = _reduce(u + v + iu + _inv(v))
+    for u in vocab:
+        if _canon(u, rank) != u:
+            continue
+        iu = _inverse(u)
+        for v, iv in entries:
+            c = _join(_join(_join(u, v), iu), iv)
             if c:
-                key = _pack(c)
-                add(key)
-                add(_pack_inverse(key))
-    ordered = sorted(seen, key=_index_order)
+                add(_canon(c, rank))
+    ordered = sorted(seen)
+    ordered.sort(key=len)
     return ordered, seen
 
 
@@ -203,34 +281,51 @@ def _index_order(key: bytes):
     return (len(key), key)
 
 
-def _prefix_range(ordered: list, length: int, prefix: bytes) -> list:
-    """Keys of ``length`` that begin with ``prefix``, in index order."""
-    lo = bisect_left(ordered, (length, prefix), key=_index_order)
+def _prefix_range(ordered: list, rank: int, length: int,
+                  prefix: bytes) -> list:
+    """Words of the full value set of ``length`` that begin with ``prefix``,
+    in index order.
+
+    They are the images of the representatives that begin with the
+    canonical form of ``prefix`` under the relabellings that send it back
+    to ``prefix``.  Relabelling does not keep byte order, so the images are
+    sorted.
+    """
+    sig = _signature(prefix, rank)
+    head = prefix.translate(_canon_table(rank, sig))
+    lo = bisect_left(ordered, (length, head), key=_index_order)
     # packed letters are below 0xff, so this bounds every extension
-    hi = bisect_left(ordered, (length, prefix + b"\xff"), key=_index_order)
-    return ordered[lo:hi]
+    hi = bisect_left(ordered, (length, head + b"\xff"), key=_index_order)
+    words = []
+    for rep in ordered[lo:hi]:
+        extra = len(_signature(rep, rank)) - len(sig)
+        for table in _restore_tables(rank, sig, extra):
+            words.append(rep.translate(table))
+    words.sort()
+    return words
 
 
 def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     """Two commutator pairs whose product is ``a``, or None.
 
-    A hit is a split ``a = c1 c2`` with both factors in the commutator-value
-    index; the returned ``c1`` is the least valid key in the index's
-    ``(len, bytes)`` order, so certificates do not depend on how the index
-    is read.  Free reduction of ``c1 c2`` cancels some ``x``, leaving
+    A hit is a split ``a = c1 c2`` with both factors single-commutator
+    values, which the commutator-value index answers by their canonical
+    forms; the returned ``c1`` is the least valid value in ``(len, bytes)``
+    order, so certificates do not depend on how the index is stored or
+    read.  Free reduction of ``c1 c2`` cancels some ``x``, leaving
     ``c1 = p x``, ``c2 = x^-1 s`` and ``a = p s``.  With ``h = ceil(|a|/2)``
     either ``|p| >= h``, and ``c1`` begins with ``a[:h]``, or ``|p| <= h``,
-    and ``c2^-1`` begins with ``(a[h:])^-1``.  The index is closed under
-    inversion, so both cases are prefix ranges of the sorted key list in
-    each length class.  The first case is read by ascending length up to its
-    first valid key, which is its least; the second only up to length
-    ``|a| + |c1|`` of the best ``c1`` so far, since ``|c1| >= |c2| - |a|``.
+    and ``c2^-1`` begins with ``(a[h:])^-1``.  The value set is closed under
+    inversion, so both cases are prefix ranges of it in each length class.
+    The first case is read by ascending length up to its first valid key,
+    which is its least; the second only up to length ``|a| + |c1|`` of the
+    best ``c1`` so far, since ``|c1| >= |c2| - |a|``.
     """
     rank = a.rank
     if rank >= _PACK_OFFSET:
         raise SearchBudgetError(
             f"packed genus-2 search supports rank < {_PACK_OFFSET}, got {rank}")
-    n = len(_codes_up_to(rank, max_len)) - 1
+    n = _count_up_to(rank, max_len) - 1
     pairs = n * (n - 1) // 2
     if pairs > pair_budget:
         raise SearchBudgetError(
@@ -239,32 +334,32 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     ordered, seen = _commutator_value_index(rank, max_len)
     if not ordered:
         return None
-    target = a.codes
+    target = _pack(a.codes)
     longest = len(ordered[-1])
     h = (len(target) + 1) // 2
     best: Optional[bytes] = None
-    head = _pack(target[:h])
+    head = target[:h]
     for length in range(len(head), longest + 1):
-        for key in _prefix_range(ordered, length, head):
-            rest = _reduce(_inv(_unpack(key)) + target)
-            if rest and _pack(rest) in seen:
+        for key in _prefix_range(ordered, rank, length, head):
+            rest = _join(_inverse(key), target)
+            if rest and _canon(rest, rank) in seen:
                 best = key
                 break
         if best is not None:
             break
-    tail = _pack(_inv(target[h:]))
+    tail = _inverse(target[h:])
     for length in range(len(tail), longest + 1):
         if best is not None and length > len(target) + len(best):
             break
-        for key in _prefix_range(ordered, length, tail):
-            first = _pack(_reduce(target + _unpack(key)))
-            if first in seen and (best is None or _index_order(first)
-                                  < _index_order(best)):
+        for key in _prefix_range(ordered, rank, length, tail):
+            first = _join(target, key)
+            if _canon(first, rank) in seen and (
+                    best is None or _index_order(first) < _index_order(best)):
                 best = first
     if best is None:
         return None
     first = _unpack(best)
-    rest = _reduce(_inv(first) + target)
+    rest = _unpack(_join(_inverse(best), target))
     pair1 = _genus_one_search(ReducedWord(rank, first, _trusted=True), max_len)
     pair2 = _genus_one_search(ReducedWord(rank, rest, _trusted=True), max_len)
     if pair1 is None or pair2 is None:
@@ -350,10 +445,11 @@ def scl_lower_bavard(a: ReducedWord,
     """
     if dictionary is None:
         dictionary = default_brooks_dictionary(a)
+    core, _ = cyclically_reduce(a)
     best = Fraction(0)
     witness: Optional[ReducedWord] = None
     for pattern in dictionary:
-        value = abs(brooks_homogeneous_exact(pattern, a))
+        value = abs(brooks_homogeneous_exact(pattern, core))
         bound = value / (2 * HOMOGENEOUS_BROOKS_DEFECT)
         if bound > best:
             best = bound

@@ -3,6 +3,7 @@
 import json
 import math
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -235,6 +236,52 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert "trace" in captured.err
+
+    @pytest.mark.parametrize("matrix,entry", [
+        ("nan,0,0,1", "nan"), ("1,inf,0,1", "inf"),
+        ("1,0,-Infinity,1", "-Infinity"), ("1,0,0, NaN", "NaN")])
+    def test_rot_rejects_non_finite_entries(self, capsys, matrix, entry):
+        code = main(["rot", "--matrix", matrix])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"scl-lab: error: --matrix entry '{entry}' is not finite\n")
+
+
+class TestDefectSampling:
+    #: records of the scan that listed every word before drawing
+    @pytest.mark.parametrize("argv,expected", [
+        (["--pattern", "ab", "--length-budget", "8", "--samples", "2000"],
+         '{"command":"defect","inputs":{"pattern":"ab","rank":2,'
+         '"homogeneous":false,"length_budget":8,"samples":2000,"seed":0},'
+         '"result":{"observed":1,"mode":"sampled","pairs_checked":2000,'
+         '"defect_certificate":3},"certificates":null,"flags":[]}'),
+        (["--pattern", "abAB", "--length-budget", "8", "--samples", "2000"],
+         '{"command":"defect","inputs":{"pattern":"abAB","rank":2,'
+         '"homogeneous":false,"length_budget":8,"samples":2000,"seed":0},'
+         '"result":{"observed":2,"mode":"sampled","pairs_checked":2000,'
+         '"defect_certificate":3},"certificates":null,"flags":[]}'),
+        (["--pattern", "abA", "--homogeneous", "--length-budget", "8",
+          "--samples", "300", "--seed", "3"],
+         '{"command":"defect","inputs":{"pattern":"abA","rank":2,'
+         '"homogeneous":true,"length_budget":8,"samples":300,"seed":3},'
+         '"result":{"observed":"3/1","mode":"sampled","pairs_checked":300,'
+         '"defect_certificate":6},"certificates":null,"flags":[]}'),
+    ])
+    def test_sampled_records(self, capsys, argv, expected):
+        captured = run_cli(capsys, "defect", *argv)
+        assert captured.out == expected + "\n"
+
+    def test_long_budget_samples_without_the_word_list(self, capsys):
+        # 4 * 3^39 words of length 40 alone; only the drawn ones are built
+        start = time.perf_counter()
+        captured = run_cli(capsys, "defect", "--pattern", "ab",
+                           "--length-budget", "40", "--samples", "1000")
+        elapsed = time.perf_counter() - start
+        (record,) = records_of(captured)
+        assert record["result"]["mode"] == "sampled"
+        assert record["result"]["pairs_checked"] == 1000
+        assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
 #: every SclLabError class with the exit code and stderr label it must get
@@ -471,3 +518,30 @@ class TestParserShape:
                            "--matrix=2,1,1,1", "--vector=1,1")
         assert "result.factor_count  1" in captured.out
         assert "{" not in captured.out
+
+
+#: ``cl``/``scl`` records at the default budgets, recorded from the index
+#: that stored all 1,850,488 commutator values: Culler's ``[a,b]^2..5``,
+#: seeded products of two commutators with entries of 1 to 4 letters and
+#: their conjugates (hits and misses), two rank-3 words (a genus-1 hit and a
+#: genus-2 budget stop) and one ``--max-len 4`` call
+GOLDEN_CL_SCL = json.loads((Path(__file__).resolve().parent / "data"
+                            / "cl_scl_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", GOLDEN_CL_SCL,
+                         ids=lambda record: " ".join(record["argv"]))
+def test_cl_scl_golden_records_byte_for_byte(capsys, record):
+    code = main(list(record["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) \
+        == (record["exit"], record["stdout"], record["stderr"])
+
+
+def test_cl_scl_golden_corpus_has_hits_and_misses():
+    exits = [record["exit"] for record in GOLDEN_CL_SCL]
+    genus_two = [record for record in GOLDEN_CL_SCL if record["exit"] == 0
+                 and len(json.loads(record["stdout"])["certificates"]["pairs"])
+                 == 2]
+    assert len(GOLDEN_CL_SCL) >= 40
+    assert exits.count(3) >= 8 and len(genus_two) >= 20

@@ -8,8 +8,10 @@ from scl_lab.free_words import (
     CyclicWord,
     RankMismatchError,
     ReducedWord,
+    _count_up_to,
     _letter_key,
     _least_rotation,
+    _unrank_codes,
     WordError,
     WordSyntaxError,
     abelianization,
@@ -361,6 +363,22 @@ class TestEnumeration:
         words = list(enumerate_reduced_words(2, 2, min_len=2))
         assert all(len(u) == 2 for u in words)
         assert len(words) == 12
+
+
+    @pytest.mark.parametrize("rank,max_len",
+                             [(1, 6), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+                              (2, 5), (2, 6), (3, 4)])
+    def test_unranking_matches_the_enumeration(self, rank, max_len):
+        words = [u.codes for u in enumerate_reduced_words(rank, max_len)]
+        assert _count_up_to(rank, max_len) == len(words)
+        assert [_unrank_codes(rank, i) for i in range(len(words))] == words
+
+    def test_unranking_at_large_lengths(self):
+        n = _count_up_to(2, 40)
+        assert n == 1 + 2 * (3 ** 40 - 1)
+        last = _unrank_codes(2, n - 1)
+        assert len(last) == 40 and ReducedWord(2, last).codes == last
+        assert len(_unrank_codes(2, _count_up_to(2, 39))) == 40
 
 
 class TestValidation:

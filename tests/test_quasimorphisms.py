@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scl_lab.free_words import ReducedWord, WordError, conjugate, parse_word, power
+from scl_lab.free_words import (
+    ReducedWord,
+    WordError,
+    conjugate,
+    enumerate_reduced_words,
+    parse_word,
+    power,
+)
 from scl_lab.quasimorphisms import (
     BROOKS_DEFECT,
     HOMOGENEOUS_BROOKS_DEFECT,
@@ -153,6 +160,25 @@ class TestDefectScan:
         assert s1 == s2
         assert s1.mode == "sampled"
         assert s1.observed <= BROOKS_DEFECT
+
+    @pytest.mark.parametrize("pattern,homogeneous,max_len",
+                             [("ab", False, 4), ("abAB", False, 5),
+                              ("abA", True, 4)])
+    def test_sampled_draws_match_the_listed_words(self, pattern, homogeneous,
+                                                  max_len):
+        # the scan builds only the drawn words; drawing positions from a
+        # list of every word must give the same scan
+        phi = (brooks_homogeneous if homogeneous else brooks)(w(pattern))
+        words = list(enumerate_reduced_words(2, max_len))
+        rng = random.Random(11)
+        best = 0
+        for _ in range(300):
+            a = words[rng.randrange(len(words))]
+            b = words[rng.randrange(len(words))]
+            best = max(best, abs(phi(a * b) - phi(a) - phi(b)))
+        scan = defect_observed(phi, max_len, pairs_threshold=0, samples=300,
+                               seed=11)
+        assert scan == (best, "sampled", 300)
 
     def test_bad_certificate_trips(self):
         bogus = QuasimorphismHandle(

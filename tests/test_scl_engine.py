@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from scl_lab.free_words import (
     ReducedWord,
+    _codes_up_to,
     _inv,
     _reduce,
     commutator,
@@ -25,6 +28,7 @@ from scl_lab.scl_engine import (
     _genus_one_search,
     _genus_two_search,
     _pack,
+    _prefix_range,
     _unpack,
     cl_lower,
     cl_upper,
@@ -158,10 +162,24 @@ def words(max_size):
         st.sampled_from([1, -1, 2, -2]), max_size=max_size))
 
 
+@lru_cache(maxsize=None)
+def brute_force_values(rank, max_len):
+    """Every single-commutator value with entries within ``max_len``, packed,
+    from ``_reduce`` over all vocabulary pairs: (sorted list, set)."""
+    vocab = [c for c in _codes_up_to(rank, max_len) if c]
+    values = set()
+    for u in vocab:
+        for v in vocab:
+            c = _reduce(u + v + _inv(u) + _inv(v))
+            if c:
+                values.add(_pack(c))
+    return sorted(values, key=lambda k: (len(k), k)), values
+
+
 def full_walk_genus_two(a, max_len):
-    """Reference genus-2 lookup: walk the whole index in (len, bytes) order
-    and rebuild the first hit."""
-    ordered, seen = _commutator_value_index(a.rank, max_len)
+    """Reference genus-2 lookup: walk the brute-force value set in
+    (len, bytes) order and rebuild the first hit."""
+    ordered, seen = brute_force_values(a.rank, max_len)
     for key in ordered:
         first = _unpack(key)
         rest = _reduce(_inv(first) + a.codes)
@@ -171,6 +189,21 @@ def full_walk_genus_two(a, max_len):
                                   max_len)
                 for c in (first, rest))
     return None
+
+
+def signed_permutation_images(keys, rank):
+    """All images of packed words under the 2^rank rank! signed letter
+    permutations; small ranks only."""
+    images = set()
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            table = bytearray(range(256))
+            for g in range(1, rank + 1):
+                image = signs[g - 1] * perm[g - 1]
+                table[64 + g] = 64 + image
+                table[64 - g] = 64 - image
+            images.update(key.translate(bytes(table)) for key in keys)
+    return images
 
 
 def genus_two_corpus(rng, max_len, count):
@@ -206,6 +239,39 @@ class TestGenusTwoLookup:
         assert _genus_two_search(a, 3, DEFAULT_PAIR_BUDGET) \
             == full_walk_genus_two(a, 3)
 
+    @pytest.mark.parametrize("max_len", [2, 3])
+    def test_matches_full_walk_at_rank_three(self, max_len):
+        # representatives there may use a generator the prefix lacks, so
+        # one range maps back under several relabellings
+        rng = random.Random(31 + max_len)
+        outcomes = set()
+        for _ in range(12):
+            e = [random_reduced(rng, 3, rng.randrange(1, max_len + 1))
+                 for _ in range(4)]
+            g = random_reduced(rng, 3, rng.randrange(0, 3))
+            a = g * commutator(e[0], e[1]) * commutator(e[2], e[3]) * ~g
+            expected = full_walk_genus_two(a, max_len)
+            assert _genus_two_search(a, max_len, DEFAULT_PAIR_BUDGET) \
+                == expected, str(a)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_rank_ten_query_without_the_group(self):
+        # the signed permutations of rank 10 number 3,715,891,200; the
+        # index stores one word and the lookup maps back only the
+        # generators a word uses
+        rank, max_len = 10, 1
+        start = time.perf_counter()
+        for text, hit in (("[a,b][c,d]", True), ("[j,c][e,a]", True),
+                          ("[a,b][c,d][e,f]", False)):
+            a = parse_word(text, rank)
+            found = _genus_two_search(a, max_len, DEFAULT_PAIR_BUDGET)
+            assert found == full_walk_genus_two(a, max_len), text
+            assert (found is not None) == hit, text
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"rank-10 queries took {elapsed:.2f}s"
+        assert len(_commutator_value_index(rank, max_len)[0]) == 1
+
     def test_culler_oracle_at_default_budgets(self):
         # Culler: cl([a,b]^n) = n // 2 + 1, so genus 2 is exact for n = 2, 3
         # and no genus-2 certificate exists for n >= 4; a hit there would
@@ -218,6 +284,31 @@ class TestGenusTwoLookup:
             assert cl_upper(power(w("[a,b]"), n)) is None
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"five misses took {elapsed:.2f}s"
+
+
+class TestOrbitIndex:
+    @pytest.mark.parametrize("rank,max_len", [(2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_orbits_expand_to_the_brute_force_values(self, rank, max_len):
+        ordered, seen = _commutator_value_index(rank, max_len)
+        assert ordered == sorted(seen, key=lambda k: (len(k), k))
+        assert signed_permutation_images(ordered, rank) \
+            == brute_force_values(rank, max_len)[1]
+        # one word per orbit
+        assert len({frozenset(signed_permutation_images([k], rank))
+                    for k in ordered}) == len(ordered)
+
+    @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
+    def test_prefix_ranges_are_the_sorted_full_ranges(self, rank, max_len):
+        ordered, _ = _commutator_value_index(rank, max_len)
+        full, _ = brute_force_values(rank, max_len)
+        lengths = sorted({len(k) for k in full})
+        for codes in _codes_up_to(rank, 3):
+            prefix = _pack(codes)
+            for length in lengths:
+                expected = [k for k in full
+                            if len(k) == length and k.startswith(prefix)]
+                assert _prefix_range(ordered, rank, length, prefix) \
+                    == expected, (codes, length)
 
 
 class TestLowerBounds:
