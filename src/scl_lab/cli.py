@@ -19,6 +19,7 @@ to ``gap``; ``--table`` is on every command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -634,6 +635,7 @@ def _cmd_audit(args):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--table", action="store_true",
@@ -782,9 +784,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The parser is built once per process and reused: each parse returns a
+    new namespace and prints help and errors to the current ``sys.stdout``
+    and ``sys.stderr``, so nothing may mutate the parser.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

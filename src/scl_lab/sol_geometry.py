@@ -405,17 +405,19 @@ def _least_power(coeffs, r: Vec, lam: float, half_range: float) -> int:
 
 
 def _best_piece(A: AnosovMatrix, members: tuple, r: Vec, k: int
-                ) -> tuple[Optional[Vec], Vec]:
-    """Box vector whose k-th matrix image best cancels r, with remainder."""
+                ) -> tuple[Optional[Vec], Vec, Vec]:
+    """Box vector whose k-th matrix image best cancels r, with that image
+    and the remainder."""
+    m0, m1, m2, m3 = _matrix_power(A.flat, k)
     best_key = None
-    best = (None, r)
+    best = (None, (0, 0), r)
     for b in members + ((0, 0),):
-        image = A.apply(b, k)
+        image = (m0 * b[0] + m1 * b[1], m2 * b[0] + m3 * b[1])
         rem = (r[0] - image[0], r[1] - image[1])
         key = (_sup(rem), rem, b)
         if best_key is None or key < best_key:
             best_key = key
-            best = (b if b != (0, 0) else None, rem)
+            best = (b if b != (0, 0) else None, image, rem)
     return best
 
 
@@ -466,15 +468,15 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec
         r_in = r
         pieces = []
         k1 = _least_power(prof.comp_plus, r, prof.lam, prof.h_plus)
-        b1, r = _best_piece(A, prof.members_plus, r, k1)
+        b1, image, r = _best_piece(A, prof.members_plus, r, k1)
         if b1 is not None:
             pieces.append((k1, b1))
-            factors.append(_fiber_factor(A, A.apply(b1, k1)))
+            factors.append(_fiber_factor(A, image))
         k2 = _least_power(prof.comp_minus, r, prof.lam, prof.h_minus)
-        b2, r = _best_piece(A, prof.members_minus, r, -k2)
+        b2, image, r = _best_piece(A, prof.members_minus, r, -k2)
         if b2 is not None:
             pieces.append((-k2, b2))
-            factors.append(_fiber_factor(A, A.apply(b2, -k2)))
+            factors.append(_fiber_factor(A, image))
         if _sup(r) >= _sup(r_in):
             raise SclLabError(
                 f"certified contraction failed at {r_in} -> {r} for {A}; "

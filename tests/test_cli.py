@@ -1,5 +1,6 @@
 """CLI tests: golden records, exit codes, config and output modes."""
 
+import argparse
 import json
 import math
 import shlex
@@ -545,3 +546,106 @@ def test_cl_scl_golden_corpus_has_hits_and_misses():
                  == 2]
     assert len(GOLDEN_CL_SCL) >= 40
     assert exits.count(3) >= 8 and len(genus_two) >= 20
+
+
+#: ``sol member|cert|decompose|report|mul`` records: the benchmark's four
+#: matrices on members of 1 to 80 digits and on non-members, the 10^320
+#: member of (2,1,1,1), one ``--table`` call, a profile that gives up
+#: (exit 3), the known contraction failure of (0,1,-1,3) (exit 1) and a
+#: malformed ``--matrix`` (exit 2)
+GOLDEN_SOL = json.loads((Path(__file__).resolve().parent / "data"
+                         / "sol_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", GOLDEN_SOL,
+                         ids=lambda record: " ".join(record["argv"])[:80])
+def test_sol_golden_records_byte_for_byte(capsys, record):
+    code = main(list(record["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) \
+        == (record["exit"], record["stdout"], record["stderr"])
+
+
+def test_sol_golden_corpus_covers_every_leaf_and_exit():
+    assert len(GOLDEN_SOL) >= 40
+    assert {record["argv"][1] for record in GOLDEN_SOL} \
+        == {"member", "cert", "decompose", "report", "mul"}
+    assert {record["exit"] for record in GOLDEN_SOL} == {0, 1, 2, 3}
+    assert any("--table" in record["argv"] for record in GOLDEN_SOL)
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    @staticmethod
+    def run(capsys, argv, fresh: bool):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def check_sequence(self, capsys, *argvs):
+        alone = [self.run(capsys, argv, fresh=True) for argv in argvs]
+        cli.build_parser.cache_clear()
+        in_sequence = [self.run(capsys, argv, fresh=False) for argv in argvs]
+        assert in_sequence == alone
+        return in_sequence
+
+    def test_same_parser_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_table_flag_does_not_stick(self, capsys):
+        sol = ["sol", "cert", "--matrix=2,1,1,1", "--vector=1,1"]
+        (_, table, _), (code, out, _) = self.check_sequence(
+            capsys, sol + ["--table"], sol)
+        assert "{" not in table
+        assert code == 0 and json.loads(out)["result"]["verified"] is True
+
+    def test_config_does_not_stick(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"margulis_constants": {"3": 0.25}}))
+        gap = ["gap", "--m", "100", "--genus", "1", "--epsilon", "0.05",
+               "--dim", "3"]
+        (_, first, _), (_, second, _) = self.check_sequence(
+            capsys, gap + ["--config", str(path)], gap)
+        assert json.loads(first)["result"]["margulis_constant"] == 0.25
+        assert json.loads(second)["result"]["margulis_constant"] == 0.29
+
+    def test_budget_does_not_stick(self, capsys):
+        scl = ["scl", "--word", "[a,b]"]
+        (_, first, _), (_, second, _) = self.check_sequence(
+            capsys, scl + ["--max-len", "4"], scl)
+        assert json.loads(first)["inputs"]["max_len"] == 4
+        assert json.loads(second)["inputs"]["max_len"] == 6
+
+    def test_error_then_help_then_success(self, capsys):
+        results = self.check_sequence(
+            capsys, ["sol", "cert", "--matrix=2,1,1,1"],
+            ["sol", "cert", "--help"],
+            ["sol", "cert", "--matrix=2,1,1,1", "--vector=1,1"])
+        (bad, _, bad_err), (helped, help_out, _), (good, good_out, _) = results
+        assert (bad, helped, good) == (2, 0, 0)
+        assert "--vector" in bad_err and "usage:" in help_out
+        assert json.loads(good_out)["command"] == "sol cert"
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        cli.build_parser.cache_clear()
+        assert main(["sol", "cert", "--matrix=2,1,1,1", "--vector=1,1"]) == 0
+        assert built
+        built.clear()
+        for i in range(25):
+            assert main(["sol", "decompose", "--matrix=5,3,3,2",
+                         f"--vector={4 * i + 3},{3 * i + 1}"]) == 0
+            assert main(["cl", "--word", "[a,b]"]) == 0
+        capsys.readouterr()
+        assert built == []

@@ -1,5 +1,6 @@
 """Tests for Sol-lattice arithmetic, membership, and scl-zero certificates."""
 
+import itertools
 import math
 import random
 import time
@@ -17,6 +18,7 @@ from scl_lab.sol_geometry import (
     SolElement,
     SolError,
     SolMembershipError,
+    SolProfileError,
     commutator_certificate,
     membership_commutator_subgroup,
     membership_witness_rational,
@@ -363,3 +365,105 @@ class TestSclReport:
         assert report.scl == Fraction(0)
         assert report.certificate.factor_count == 0
 
+
+
+def _certifies(A: AnosovMatrix) -> bool:
+    try:
+        sol_geometry._decomposition_profile(A.flat)
+    except SolProfileError:
+        return False
+    return True
+
+
+#: the benchmark's four matrices, then every Anosov matrix with entries in
+#: [-3, 3] whose decomposition profile certifies
+REFERENCE_MATRICES = tuple(dict.fromkeys(A for A in (
+    [AnosovMatrix(2, 1, 1, 1), AnosovMatrix(5, 3, 3, 2),
+     AnosovMatrix(-2, 1, 1, -1), AnosovMatrix(4, 1, 3, 1)]
+    + [AnosovMatrix(*m) for m in itertools.product(range(-3, 4), repeat=4)
+       if m[0] * m[3] - m[1] * m[2] == 1 and abs(m[0] + m[3]) > 2])
+    if _certifies(A)))
+
+
+def reference_best_piece(A: AnosovMatrix, members: tuple, r, k: int):
+    """``_best_piece`` with one ``A.apply(b, k)`` per box vector."""
+    best_key = best = None
+    for b in members + ((0, 0),):
+        image = A.apply(b, k)
+        rem = (r[0] - image[0], r[1] - image[1])
+        key = (max(abs(rem[0]), abs(rem[1])), rem, b)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (b if b != (0, 0) else None, image, rem)
+    return best
+
+
+def tied_remainder(image_b, image_c):
+    """A remainder r with sup(r - image_b) == sup(r - image_c)."""
+    d0, d1 = image_c[0] - image_b[0], image_c[1] - image_b[1]
+    m = max(abs(d0), abs(d1))
+    p = m if d0 >= 0 else -m
+    q = d1 - m if d1 >= 0 else d1 + m
+    return (image_b[0] + p, image_b[1] + q)
+
+
+class TestBestPieceReference:
+    """The scan that computes one matrix power per call picks the same
+    piece, image and remainder as one ``A.apply`` per box vector."""
+
+    def test_reference_corpus(self):
+        assert len(REFERENCE_MATRICES) == 42
+
+    def test_hoisted_scan_matches_per_member_apply(self):
+        rng = random.Random(20261018)
+        ties = 0
+        for A in REFERENCE_MATRICES:
+            prof = sol_geometry._decomposition_profile(A.flat)
+            for members in (prof.members_plus, prof.members_minus):
+                candidates = members + ((0, 0),)
+                powers = {0, 1, -1, 60, -60} | {
+                    rng.randint(-60, 60) for _ in range(8)}
+                for k in sorted(powers):
+                    size = 10 ** rng.randint(0, 40)
+                    near = A.apply(rng.choice(members), k)
+                    b, c = rng.sample(candidates, 2)
+                    for r in ((rng.randint(-size, size),
+                               rng.randint(-size, size)),
+                              (near[0] + rng.randint(-3, 3),
+                               near[1] + rng.randint(-3, 3)),
+                              tied_remainder(A.apply(b, k), A.apply(c, k)),
+                              (0, 0)):
+                        expected = reference_best_piece(A, members, r, k)
+                        assert sol_geometry._best_piece(A, members, r, k) \
+                            == expected
+                        sups = sorted(
+                            max(abs(r[0] - x), abs(r[1] - y))
+                            for x, y in (A.apply(v, k) for v in candidates))
+                        ties += sups[0] == sups[1]
+        assert ties >= 100
+
+    def test_decomposition_traces_match_reference(self, monkeypatch):
+        rng = random.Random(2026)
+        corpus = []
+        for A in REFERENCE_MATRICES:
+            for digits in (1, 4, 12, 30, 80):
+                u = (rng.randint(-10 ** digits, 10 ** digits),
+                     rng.randint(-10 ** digits, 10 ** digits))
+                corpus.append((A, image_vector(A, u)))
+
+        def outcomes():
+            out = []
+            for A, a in corpus:
+                try:
+                    o = recursive_log_decomposition(A, a)
+                except SclLabError as exc:
+                    out.append(str(exc))
+                else:
+                    out.append((o.trace.levels, o.trace.factor_count,
+                                o.expression.factors))
+            return out
+
+        hoisted = outcomes()
+        monkeypatch.setattr(sol_geometry, "_best_piece", reference_best_piece)
+        assert outcomes() == hoisted
+        assert sum(isinstance(o, tuple) for o in hoisted) >= len(corpus) // 2
