@@ -10,6 +10,7 @@ safe to share and to cache.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -427,15 +428,50 @@ def count_disjoint_copies(w: ReducedWord, a: ReducedWord) -> int:
     return _greedy_count(w.codes, a.codes)
 
 
+def _cyclic_starts(core: tuple[int, ...], k: int) -> dict[tuple[int, ...], list[int]]:
+    """Every cyclic subword of length ``k`` of the nonempty ``core``, mapped
+    to its start positions in ``range(len(core))``, ascending."""
+    L = len(core)
+    ext = core * (1 + (k + L - 2) // L)
+    starts: dict[tuple[int, ...], list[int]] = {}
+    for i in range(L):
+        starts.setdefault(ext[i:i + k], []).append(i)
+    return starts
+
+
+def _cyclic_copy_rate(starts: Sequence[int], k: int, L: int) -> Fraction:
+    """Per-period greedy count of a length-``k`` pattern that occurs in a
+    cyclic word of length ``L`` at the ascending positions ``starts``.
+
+    The greedy count in ``a^n`` is the greedy on the periodic word
+    ``a a a ...`` cut at ``n |a|``, and its state after each copy is the
+    restart position mod ``|a|``.  That state repeats within ``|a|``
+    copies; over the cycle it then follows, ``c`` copies span ``D`` letters,
+    and the limit is exactly ``c |a| / D``.  Each step finds the next
+    occurrence by bisection, so a walk costs one step per restart state.
+    """
+    if not starts:
+        return Fraction(0)
+    seen: dict[int, tuple[int, int]] = {}
+    r = copies = span = 0
+    while r not in seen:
+        seen[r] = (copies, span)
+        i = bisect_left(starts, r)
+        nxt = starts[i] if i < len(starts) else starts[0] + L
+        step = nxt - r + k
+        copies += 1
+        span += step
+        r = (r + step) % L
+    copies0, span0 = seen[r]
+    return Fraction((copies - copies0) * L, span - span0)
+
+
 def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
     """Exact per-period disjoint-copy count of ``w`` in the cyclic word ``a``.
 
-    Returns ``lim_n count(w, a^n) / n`` as a rational.  The greedy count in
-    ``a^n`` is the greedy on the periodic word ``a a a ...`` cut at ``n |a|``,
-    and its state after each copy is the restart position mod ``|a|``.  That
-    state repeats within ``|a|`` copies; over the cycle it then follows,
-    ``c`` copies span ``D`` letters, and the limit is exactly
-    ``c |a| / D``.  No power of ``a`` is built.
+    Returns ``lim_n count(w, a^n) / n`` as a rational, from the restart
+    cycle of the greedy count (see ``_cyclic_copy_rate``).  No power of
+    ``a`` is built.
     """
     if w.rank != a.rank:
         raise RankMismatchError(f"rank {w.rank} vs rank {a.rank}")
@@ -443,31 +479,9 @@ def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
         raise WordError(f"pattern must have length >= 2, got {len(w.codes)}")
     if not a.codes:
         raise WordError("cyclic word must be nonempty")
-    wc = w.codes
-    core = a.codes
-    L = len(core)
-    k = len(wc)
-    ext = core * (1 + (k + L - 2) // L)
-    occurs = [ext[i:i + k] == wc for i in range(L)]
-    if not any(occurs):
-        return Fraction(0)
-    # gap[r]: letters from position r to the next occurrence start
-    gap = [0] * L
-    nxt = occurs.index(True) + L
-    for r in range(L - 1, -1, -1):
-        if occurs[r]:
-            nxt = r
-        gap[r] = nxt - r
-    seen: dict[int, tuple[int, int]] = {}
-    r = copies = span = 0
-    while r not in seen:
-        seen[r] = (copies, span)
-        step = gap[r] + k
-        copies += 1
-        span += step
-        r = (r + step) % L
-    copies0, span0 = seen[r]
-    return Fraction((copies - copies0) * L, span - span0)
+    k = len(w.codes)
+    starts = _cyclic_starts(a.codes, k).get(w.codes, ())
+    return _cyclic_copy_rate(starts, k, len(a.codes))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import SclLabError
 from .free_words import (
+    CyclicWord,
+    RankMismatchError,
     ReducedWord,
+    WordError,
     _codes_up_to,
     _count_up_to,
+    _cyclic_copy_rate,
     _cyclic_split,
+    _cyclic_starts,
     _inv,
     _least_rotation,
     _reduce,
@@ -34,7 +39,7 @@ from .free_words import (
     power,
     word_sort_key,
 )
-from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT, brooks_homogeneous_exact
+from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT
 
 __all__ = [
     "CertificateError",
@@ -120,6 +125,32 @@ class CommutatorCertificate:
 # ---------------------------------------------------------------------------
 # upper bounds: bounded certificate search
 
+def _genus_one_candidates(rank: int, target: tuple[int, ...], max_len: int):
+    """The words ``u = target[:c] z target[n - j:]`` that are reduced, with
+    ``c + j <= n = |target|``, ``|z| <= max(0, max_len - ceil(n / 2))`` and
+    ``1 <= |u| <= max_len``, by length and then in a < A < b < B order.
+
+    Among them is every ``u`` with ``[u, v] = target`` for some ``v``
+    within ``max_len``; ``_genus_one_search`` gives the argument.
+    """
+    n = len(target)
+    z_max = max(0, max_len - (n + 1) // 2)
+    for length in range(1, max_len + 1):
+        found = set()
+        for k in range(min(z_max, length) + 1):
+            ends = length - k
+            if ends > n:
+                continue
+            for z in _codes_up_to(rank, k):
+                if len(z) < k:
+                    continue
+                for c in range(ends + 1):
+                    u = target[:c] + z + target[n - ends + c:]
+                    if all(x != -y for x, y in zip(u, u[1:])):
+                        found.add(u)
+        yield from sorted(found, key=_word_key)
+
+
 def _genus_one_search(a: ReducedWord, max_len: int):
     """First (u, v) in canonical order with [u, v] = a and both lengths
     within ``max_len``, or None.
@@ -129,12 +160,22 @@ def _genus_one_search(a: ReducedWord, max_len: int):
     to rotation, and all solutions v form one coset of the centralizer of u,
     which is cyclic.  Sweeping that coset finds the shortest solution, so
     the search is complete at this length budget.
+
+    Only the candidates of ``_genus_one_candidates`` can pass.  With ``c``
+    the common prefix length of u and a, ``t = u^-1 a`` reduces to
+    ``X Y`` with ``X = u[c:]^-1`` and ``Y = a[c:]``, and a solution needs
+    ``|core t| = |core u| <= max_len``.  Cyclic reduction cancels the
+    first s letters of t against the last s.  If ``s <= |X|, |Y|``, they
+    pair the head of X with the tail of Y, so u ends with ``a[|a| - s:]``
+    and ``u = a[:c] z a[|a| - s:]`` with ``|z| = |X| - s``; then
+    ``2 |z| = |core t| + |u| - |a| <= 2 max_len - |a|``.  Otherwise s
+    exceeds the shorter of the two: ``|X| < |Y|`` leaves z empty, and
+    ``|Y| < |X|`` makes u end with ``a[c:]``, with
+    ``|z| = |u| - |a| <= max_len - |a|``.
     """
     rank = a.rank
     target = a.codes
-    for u_codes in _codes_up_to(rank, max_len):
-        if not u_codes:
-            continue
+    for u_codes in _genus_one_candidates(rank, target, max_len):
         u_inv = _inv(u_codes)
         t = _reduce(u_inv + target)
         c1_raw, core_u = _cyclic_split(u_inv)
@@ -408,14 +449,15 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
 # ---------------------------------------------------------------------------
 # lower bounds: Bavard duality for counting quasimorphisms
 
-def default_brooks_dictionary(a: ReducedWord) -> tuple[ReducedWord, ...]:
+def default_brooks_dictionary(a: Union[ReducedWord, CyclicWord]
+                              ) -> tuple[ReducedWord, ...]:
     """Counting patterns tried against ``a``: every cyclic subword of its
     core with length 2..6, plus every reduced two-letter word of the rank.
 
     Returned in canonical order so downstream witness choices are
-    deterministic.
+    deterministic.  A ``CyclicWord`` is taken as the core already.
     """
-    core, _ = cyclically_reduce(a)
+    core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     out: list[ReducedWord] = []
     seen: set[tuple[int, ...]] = set()
     L = core.length
@@ -434,22 +476,42 @@ def default_brooks_dictionary(a: ReducedWord) -> tuple[ReducedWord, ...]:
     return tuple(out)
 
 
-def scl_lower_bavard(a: ReducedWord,
+def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
                      dictionary: Optional[tuple[ReducedWord, ...]] = None
                      ) -> tuple[Fraction, Optional[ReducedWord]]:
     """Best Bavard lower bound ``|f(a)| / (2 D)`` over a pattern dictionary.
 
     Uses homogeneous counting quasimorphisms with certified defect 6, so
     each pattern w contributes ``|fbar_w(a)| / 12``.  Returns the bound and
-    the first pattern attaining it (None when every value vanishes).
+    the first pattern attaining it (None when every value vanishes).  A
+    ``CyclicWord`` is taken as the core of ``a`` already.
+
+    The core's cyclic subwords of each pattern length are tabled with their
+    start positions once, and each pattern and its inverse count copies by
+    the restart walk over their own starts, so a scan reads the core once
+    per pattern length, not twice per pattern.
     """
+    core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     if dictionary is None:
-        dictionary = default_brooks_dictionary(a)
-    core, _ = cyclically_reduce(a)
+        dictionary = default_brooks_dictionary(core)
+    L = core.length
+    tables: dict[int, dict[tuple[int, ...], list[int]]] = {}
     best = Fraction(0)
     witness: Optional[ReducedWord] = None
     for pattern in dictionary:
-        value = abs(brooks_homogeneous_exact(pattern, core))
+        k = len(pattern.codes)
+        if k < 2:
+            raise WordError(f"brooks pattern must have length >= 2, got {k}")
+        if not L:
+            continue
+        if pattern.rank != core.rank:
+            raise RankMismatchError(f"rank {pattern.rank} vs rank {core.rank}")
+        starts = tables.get(k)
+        if starts is None:
+            starts = tables[k] = _cyclic_starts(core.codes, k)
+        value = abs(_cyclic_copy_rate(starts.get(pattern.codes, ()), k, L)
+                    - _cyclic_copy_rate(starts.get(_inv(pattern.codes), ()),
+                                        k, L))
         bound = value / (2 * HOMOGENEOUS_BROOKS_DEFECT)
         if bound > best:
             best = bound
@@ -552,9 +614,10 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
                          lower=None, upper=None)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    core, _ = cyclically_reduce(a)
     if dictionary is None:
-        dictionary = default_brooks_dictionary(a)
-    lower, witness = scl_lower_bavard(a, dictionary)
+        dictionary = default_brooks_dictionary(core)
+    lower, witness = scl_lower_bavard(core, dictionary)
     flags: list[str] = []
     if lower >= HOMOLOGICAL_MARGULIS_CONSTANT:
         flags.append("above-homological-margulis-constant")

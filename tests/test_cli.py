@@ -548,6 +548,56 @@ def test_cl_scl_golden_corpus_has_hits_and_misses():
     assert exits.count(3) >= 8 and len(genus_two) >= 20
 
 
+#: ``cl``/``scl`` records at ranks 2 and 3 and ``--max-len`` 2 to 6, recorded
+#: from the genus-1 search that swept every reduced word up to ``max_len``:
+#: per budget, seeded genus-1 hits and misses of 4 to 11 letters,
+#: commutators conjugated by 1 to 5 letters and a proper power, plus
+#: ``(ab)^2``, a conjugated ``[a,b]^2``, ``[a,c]^3`` and a conjugated
+#: commutator at rank 3
+GOLDEN_GENUS_ONE = json.loads((Path(__file__).resolve().parent / "data"
+                               / "genus_one_golden.json")
+                              .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", GOLDEN_GENUS_ONE,
+                         ids=lambda record: " ".join(record["argv"]))
+def test_genus_one_golden_records_byte_for_byte(capsys, record):
+    code = main(list(record["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) \
+        == (record["exit"], record["stdout"], record["stderr"])
+
+
+def test_genus_one_golden_corpus_covers_the_budgets():
+    budgets = {(record["argv"][4], record["argv"][6])
+               for record in GOLDEN_GENUS_ONE}
+    assert budgets >= {(rank, max_len) for rank in "23" for max_len in "23456"}
+    genus = [len(json.loads(record["stdout"])["certificates"]["pairs"])
+             for record in GOLDEN_GENUS_ONE
+             if record["argv"][0] == "cl" and record["exit"] == 0
+             and json.loads(record["stdout"])["certificates"]]
+    assert genus.count(1) >= 30 and genus.count(2) >= 5
+    assert [record["exit"] for record in GOLDEN_GENUS_ONE].count(3) >= 10
+
+
+def test_rank_ten_genus_two_budget_is_a_clean_exit(capsys):
+    # the genus-1 candidates come from the target, so no rank-10
+    # vocabulary is built before the genus-2 budget refuses
+    start = time.perf_counter()
+    code = main(["cl", "--word", "[a,b][c,d]", "--rank", "10"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "scl-lab: budget exhausted: genus-2 search at rank 10, max_len 6")
+    assert main(["scl", "--word", "[a,b]", "--rank", "10"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"]["upper"] == "1/2"
+    assert record["certificates"]["pairs"] == [["a", "b"]]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"rank-10 calls took {elapsed:.2f}s"
+
+
 #: ``sol member|cert|decompose|report|mul`` records: the benchmark's four
 #: matrices on members of 1 to 80 digits and on non-members, the 10^320
 #: member of (2,1,1,1), one ``--table`` call, a profile that gives up

@@ -8,14 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scl_lab import scl_engine
 from scl_lab.free_words import (
+    RankMismatchError,
     ReducedWord,
+    WordError,
     _codes_up_to,
+    _cyclic_split,
     _inv,
+    _least_rotation,
     _reduce,
+    _word_key,
     commutator,
+    cyclically_reduce,
     parse_word,
     power,
+)
+from scl_lab.quasimorphisms import (
+    HOMOGENEOUS_BROOKS_DEFECT,
+    brooks_homogeneous_exact,
 )
 from scl_lab.scl_engine import (
     DEFAULT_MAX_LEN,
@@ -25,6 +36,7 @@ from scl_lab.scl_engine import (
     NotInCommutatorSubgroupError,
     SearchBudgetError,
     _commutator_value_index,
+    _genus_one_candidates,
     _genus_one_search,
     _genus_two_search,
     _pack,
@@ -286,6 +298,161 @@ class TestGenusTwoLookup:
         assert elapsed < 1.0, f"five misses took {elapsed:.2f}s"
 
 
+def full_sweep_genus_one(a: ReducedWord, max_len: int):
+    """Reference genus-1 search, as it was before the candidates: the exact
+    test on every reduced word up to ``max_len``.
+
+    First (u, v) in canonical order with [u, v] = a and both lengths
+    within ``max_len``, or None.
+
+    For each candidate u this solves the conjugacy equation
+    ``v u^-1 v^-1 = u^-1 a`` exactly: conjugate words share a cyclic core up
+    to rotation, and all solutions v form one coset of the centralizer of u,
+    which is cyclic.  Sweeping that coset finds the shortest solution, so
+    the search is complete at this length budget.
+    """
+    rank = a.rank
+    target = a.codes
+    for u_codes in _codes_up_to(rank, max_len):
+        if not u_codes:
+            continue
+        u_inv = _inv(u_codes)
+        t = _reduce(u_inv + target)
+        c1_raw, core_u = _cyclic_split(u_inv)
+        c2_raw, core_t = _cyclic_split(t)
+        if len(core_u) != len(core_t) or not core_u:
+            continue
+        i, p = _least_rotation(core_u)
+        j, _ = _least_rotation(core_t)
+        canon_u = core_u[i:] + core_u[:i]
+        if canon_u != core_t[j:] + core_t[:j]:
+            continue
+        # u^-1 = c1 K c1^-1 and t = c2 K c2^-1 for the same core K, so
+        # v0 = c2 c1^-1 conjugates u^-1 to t; the full solution set is
+        # v0 <root> for the primitive root of u^-1, of period p
+        c1_t = c1_raw + core_u[:i]
+        c2_t = c2_raw + core_t[:j]
+        seed_v = _reduce(c2_t + _inv(c1_t))
+        K = max_len + len(seed_v) + 2
+        best = None
+        for k in range(-K, K + 1):
+            mid = canon_u[:p] * k if k >= 0 else _inv(canon_u[:p] * (-k))
+            vk = _reduce(c2_t + mid + _inv(c1_t))
+            entry = (len(vk), _word_key(vk), k)
+            if best is None or entry < best[0]:
+                best = (entry, vk)
+        if best is not None and best[0][0] <= max_len and best[1]:
+            u = ReducedWord(rank, u_codes, _trusted=True)
+            v = ReducedWord(rank, best[1], _trusted=True)
+            return (u, v)
+    return None
+
+
+def genus_one_corpus(rng, rank, max_len, count):
+    """Nontrivial commutators with entries within ``max_len``, conjugated by
+    up to 5 letters, their squares, and reduced words of 4 to 11 letters
+    (most of them misses, some outside the commutator subgroup)."""
+    def entry():
+        return random_reduced(rng, rank, rng.randrange(1, max_len + 1))
+
+    corpus = []
+    while len(corpus) < count:
+        kind = rng.randrange(4)
+        if kind == 3:
+            corpus.append(random_reduced(rng, rank, rng.randrange(4, 12)))
+            continue
+        a = commutator(entry(), entry())
+        if kind >= 1:
+            g = random_reduced(rng, rank, rng.randrange(1, 6))
+            a = g * a * ~g
+        if kind == 2:
+            a = a * a
+        if a.codes:
+            corpus.append(a)
+    return corpus
+
+
+def z_max(a, max_len):
+    return max(0, (2 * max_len - len(a)) // 2)
+
+
+class TestGenusOneCandidates:
+    @pytest.mark.parametrize("rank,max_len,count", [
+        (1, 4, 10), (2, 2, 40), (2, 3, 40), (2, 4, 40), (2, 5, 30),
+        (2, 6, 20), (3, 2, 30), (3, 3, 30), (3, 4, 15), (3, 5, 10)])
+    def test_matches_full_sweep_on_seeded_corpus(self, rank, max_len, count):
+        rng = random.Random(1000 * rank + max_len)
+        outcomes = set()
+        for a in genus_one_corpus(rng, rank, max_len, count):
+            expected = full_sweep_genus_one(a, max_len)
+            assert _genus_one_search(a, max_len) == expected, str(a)
+            outcomes.add(expected is None)
+        assert outcomes == ({True} if rank == 1 else {True, False})
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        words(12),
+        st.builds(lambda u, v, g: g * commutator(u, v) * ~g,
+                  words(4), words(4), words(5))),
+        st.integers(min_value=1, max_value=5))
+    def test_matches_full_sweep_on_random_words(self, a, max_len):
+        assert _genus_one_search(a, max_len) == full_sweep_genus_one(a, max_len)
+
+    @pytest.mark.parametrize("rank,max_len", [(2, 2), (2, 3), (3, 2)])
+    def test_candidates_hold_every_solution(self, rank, max_len):
+        # every u of every pair [u, v] = a within max_len is a candidate,
+        # including the u that need a middle z of the full bound
+        vocab = [c for c in _codes_up_to(rank, max_len) if c]
+        solutions = {}
+        for u in vocab:
+            for v in vocab:
+                a = _reduce(u + v + _inv(u) + _inv(v))
+                if a:
+                    solutions.setdefault(a, set()).add(u)
+        for a, us in solutions.items():
+            candidates = list(_genus_one_candidates(rank, a, max_len))
+            assert us <= set(candidates), _reduce(a)
+            assert len(set(candidates)) == len(candidates)
+            keys = [(len(u), [2 * c if c > 0 else 1 - 2 * c for c in u])
+                    for u in candidates]
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("rank,max_len", [(1, 4), (2, 4), (3, 3)])
+    def test_identity_is_no_genus_one_value(self, rank, max_len):
+        # every u conjugates u^-1 to itself, but only by a power of its
+        # root, whose commutator with u is trivial
+        identity = ReducedWord(rank, ())
+        assert full_sweep_genus_one(identity, max_len) is None
+        assert _genus_one_search(identity, max_len) is None
+
+    def test_middles_are_needed_at_the_bound(self):
+        # abAB = [aaB, v] for some v within 3 letters, and aaB is
+        # a . a . B: prefix, a middle of z_max = 1 letter, suffix
+        a = w("abAB").codes
+        assert (1, 1, -2) in set(_genus_one_candidates(2, a, 3))
+        assert z_max(a, 3) == 1
+
+    def test_vocabulary_never_requested_above_the_bound(self, monkeypatch):
+        asked = []
+        real = scl_engine._codes_up_to
+
+        def spy(rank, max_len):
+            asked.append(max_len)
+            return real(rank, max_len)
+
+        monkeypatch.setattr(scl_engine, "_codes_up_to", spy)
+        rng = random.Random(5)
+        for rank, max_len in ((2, 6), (3, 5), (10, 4)):
+            for a in genus_one_corpus(rng, rank, 3, 12):
+                asked.clear()
+                _genus_one_search(a, max_len)
+                assert max(asked, default=0) <= z_max(a, max_len), str(a)
+
+    def test_long_target_has_few_candidates(self):
+        a = parse_word("[a,b][c,d][e,f][g,h]", 10)
+        assert len(list(_genus_one_candidates(10, a.codes, 6))) <= 27
+
+
 class TestOrbitIndex:
     @pytest.mark.parametrize("rank,max_len", [(2, 3), (2, 4), (3, 2), (3, 3)])
     def test_orbits_expand_to_the_brute_force_values(self, rank, max_len):
@@ -349,6 +516,107 @@ class TestLowerBounds:
         from scl_lab.free_words import word_sort_key
         keys = [word_sort_key(u) for u in d]
         assert keys == sorted(keys)
+
+
+def per_pattern_bavard(a, dictionary=None):
+    """Reference Bavard scan, as it was before the start tables: one
+    ``brooks_homogeneous_exact`` call per pattern."""
+    if dictionary is None:
+        dictionary = default_brooks_dictionary(a)
+    core, _ = cyclically_reduce(a)
+    best = Fraction(0)
+    witness = None
+    for pattern in dictionary:
+        value = abs(brooks_homogeneous_exact(pattern, core))
+        bound = value / (2 * HOMOGENEOUS_BROOKS_DEFECT)
+        if bound > best:
+            best = bound
+            witness = pattern
+    return best, witness
+
+
+def outcome(scan, *args):
+    try:
+        return scan(*args)
+    except WordError as exc:
+        return type(exc), str(exc)
+
+
+class TestBavardScan:
+    def test_matches_per_pattern_scan_on_seeded_words(self):
+        rng = random.Random(410)
+        corpus = [random_reduced(rng, rng.choice((1, 2, 3)),
+                                 rng.randrange(0, 40)) for _ in range(60)]
+        corpus += [random_reduced(rng, 2, n) for n in (64, 120, 210, 410)]
+        corpus += [power(random_reduced(rng, 2, rng.randrange(1, 6)),
+                         rng.randrange(2, 60)) for _ in range(8)]
+        corpus += [power(w("[a,b][a,B]"), 40), power(w("[a,b]"), 100)]
+        assert max(len(a) for a in corpus) >= 400
+        for a in corpus:
+            assert scl_lower_bavard(a) == per_pattern_bavard(a), str(a)
+
+    def test_matches_per_pattern_scan_on_custom_dictionaries(self):
+        # patterns longer than the core, absent from it, repeated, next to
+        # their inverses, and in no particular order
+        rng = random.Random(12)
+        for _ in range(80):
+            a = random_reduced(rng, 2, rng.randrange(1, 12))
+            patterns = [random_reduced(rng, 2, rng.randrange(2, 16))
+                        for _ in range(rng.randrange(1, 12))]
+            patterns += [~p for p in patterns[:3]] + patterns[:2]
+            rng.shuffle(patterns)
+            dictionary = tuple(patterns)
+            assert scl_lower_bavard(a, dictionary) \
+                == per_pattern_bavard(a, dictionary), (str(a), patterns)
+
+    def test_witness_is_the_first_attaining_pattern(self):
+        a = w("[a,b]")
+        for dictionary in ((w("ab"), w("ba"), w("AB")),
+                           (w("BA"), w("ab")), (w("aa"), w("bA"), w("ab"))):
+            bound, witness = scl_lower_bavard(a, dictionary)
+            assert (bound, witness) == per_pattern_bavard(a, dictionary)
+            assert witness is next(p for p in dictionary
+                                   if abs(brooks_homogeneous_exact(p, a))
+                                   == 12 * bound)
+
+    @pytest.mark.parametrize("text,patterns,error", [
+        ("[a,b]", [(2, "a")], WordError),
+        ("[a,b]", [(2, "ab"), (2, "")], WordError),
+        ("", [(2, "b")], WordError),
+        ("[a,b]", [(3, "ab")], RankMismatchError),
+        ("[a,b]", [(2, "ab"), (3, "ca"), (2, "a")], RankMismatchError),
+        ("[a,b]", [(2, "b"), (3, "ca")], WordError),
+        # the empty core counts nothing, so no rank is compared there
+        ("", [(3, "ca"), (2, "ab")], None),
+    ])
+    def test_same_errors_as_per_pattern_scan(self, text, patterns, error):
+        a = w(text)
+        dictionary = tuple(parse_word(p, rank) for rank, p in patterns)
+        expected = outcome(per_pattern_bavard, a, dictionary)
+        assert outcome(scl_lower_bavard, a, dictionary) == expected
+        assert expected[0] is error if error else expected == (0, None)
+
+    def test_cyclic_word_is_taken_as_the_core(self):
+        a = w("bb[a,b]^2aBB")
+        core, _ = cyclically_reduce(a)
+        assert scl_lower_bavard(core) == scl_lower_bavard(a)
+        assert default_brooks_dictionary(core) == default_brooks_dictionary(a)
+
+    def test_one_cyclic_reduction_per_call(self, monkeypatch):
+        calls = []
+        real = scl_engine.cyclically_reduce
+
+        def counting(u):
+            calls.append(u)
+            return real(u)
+
+        monkeypatch.setattr(scl_engine, "cyclically_reduce", counting)
+        a = w("[a,b]^2")
+        for call in (lambda: scl_lower_bavard(a), lambda: cl_lower(a),
+                     lambda: scl_report(a, n_max=1, max_len=3)):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 class TestSclUpperFromPower:
