@@ -24,7 +24,14 @@ The CLI (``python -m scl_lab`` or the ``scl-lab`` script) exposes the same
 operations as JSON-line records.
 """
 
-from scl_lab.errors import SclLabError
+from scl_lab.errors import (
+    AuditError,
+    CertificateError,
+    SclLabError,
+    SearchBudgetError,
+    SolProfileError,
+    SoundnessError,
+)
 from scl_lab.free_words import (
     CyclicWord,
     RankMismatchError,
@@ -44,7 +51,6 @@ from scl_lab.free_words import (
     power,
 )
 from scl_lab.hyperbolic_estimates import (
-    AuditError,
     AuditReport,
     CuspShape,
     GapParams,
@@ -70,7 +76,6 @@ from scl_lab.hyperbolic_estimates import (
 )
 from scl_lab.quasimorphisms import (
     CircleLift,
-    DefectCertificateError,
     DefectScan,
     QuasimorphismHandle,
     RotationEstimate,
@@ -85,13 +90,9 @@ from scl_lab.quasimorphisms import (
     symmetrize,
 )
 from scl_lab.scl_engine import (
-    CertificateError,
     CommutatorCertificate,
     NotInCommutatorSubgroupError,
     SclReport,
-    SearchBudgetError,
-    SoundnessError,
-    WitnessError,
     cl_lower,
     cl_upper,
     scl_lower_bavard,
@@ -103,7 +104,6 @@ from scl_lab.sol_geometry import (
     SolCommutatorExpression,
     SolElement,
     SolError,
-    SolProfileError,
     commutator_certificate,
     membership_commutator_subgroup,
     membership_witness_rational,
@@ -113,7 +113,6 @@ from scl_lab.sol_geometry import (
     sol_inverse,
     sol_mul,
     sol_power,
-    sol_scl_report,
 )
 
 __version__ = "0.1.0"
@@ -121,24 +120,24 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors that are not about invalid input
-    "SclLabError",
+    "SclLabError", "SoundnessError", "CertificateError", "AuditError",
+    "SearchBudgetError", "SolProfileError",
     # words
     "CyclicWord", "RankMismatchError", "ReducedWord", "WordError", "WordSyntaxError", "abelianization", "commutator", "concat",
     "conjugate", "count_disjoint_copies", "count_disjoint_copies_cyclic",
     "cyclically_reduce", "enumerate_reduced_words", "invert", "parse_word",
     "power",
     # quasimorphisms
-    "CircleLift", "DefectCertificateError", "DefectScan",
+    "CircleLift", "DefectScan",
     "QuasimorphismHandle", "RotationEstimate", "brooks", "brooks_homogeneous",
     "compose", "defect_observed", "homogenize_estimate", "invert_lift",
     "lift_from_matrix", "rotation_number", "symmetrize",
     # scl bounds
-    "CertificateError", "CommutatorCertificate",
-    "NotInCommutatorSubgroupError", "SclReport", "SearchBudgetError",
-    "SoundnessError", "WitnessError", "cl_lower", "cl_upper",
+    "CommutatorCertificate", "NotInCommutatorSubgroupError", "SclReport",
+    "cl_lower", "cl_upper",
     "scl_lower_bavard", "scl_report", "scl_upper_from_power",
     # hyperbolic estimates
-    "AuditError", "AuditReport", "CuspShape", "GapParams", "OptimalEpsilon",
+    "AuditReport", "CuspShape", "GapParams", "OptimalEpsilon",
     "SurfaceData", "SurgeryCoeffs", "TubeParams", "genus_bound_from_meridian",
     "hk_min_core_length", "ideal_triangle_area", "length_gap_bound",
     "nz_core_length", "nz_quadratic_form", "optimal_epsilon",
@@ -147,8 +146,8 @@ __all__ = [
     "surgery_length_bound", "tube_area", "tube_qm_value",
     # Sol lattices
     "AnosovMatrix", "SolCommutatorExpression", "SolElement", "SolError",
-    "SolProfileError", "commutator_certificate",
+    "commutator_certificate",
     "membership_commutator_subgroup", "membership_witness_rational",
     "recursive_log_decomposition", "sol_commutator", "sol_conjugate",
-    "sol_inverse", "sol_mul", "sol_power", "sol_scl_report",
+    "sol_inverse", "sol_mul", "sol_power",
 ]

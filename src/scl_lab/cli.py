@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import SclLabError
+from .errors import AuditError, SclLabError
 from .free_words import (
     ReducedWord,
     abelianization,
@@ -37,7 +37,6 @@ from .free_words import (
     parse_word,
 )
 from .hyperbolic_estimates import (
-    AuditError,
     CuspShape,
     GapParams,
     SurfaceData,
@@ -57,7 +56,6 @@ from .hyperbolic_estimates import (
     tube_qm_value,
 )
 from .quasimorphisms import (
-    DefectCertificateError,
     brooks,
     brooks_homogeneous,
     defect_observed,
@@ -83,7 +81,6 @@ from .sol_geometry import (
     membership_witness_rational,
     recursive_log_decomposition,
     sol_mul,
-    sol_scl_report,
 )
 
 PROG = "scl-lab"
@@ -472,22 +469,31 @@ def _cmd_sol_member(args):
     return [_record("sol member", inputs, result)], 0
 
 
-def _cmd_sol_cert(args):
+def _cmd_sol_certificate(args):
+    """``sol cert`` and ``sol report``: a member's one-commutator
+    certificate, or a non-member's non-integral solve; ``report`` states
+    the scl that proves (0 or infinity), ``cert`` the certificate's size."""
     A = _matrix_arg(args)
     vec = _vector_arg(args)
+    report = args.sol_command == "report"
     inputs = {"matrix": list(A.flat), "vector": list(vec)}
     try:
         cert = commutator_certificate(A, vec)
     except SolMembershipError:
+        result: dict = {"member": False}
+        if report:
+            result["scl"] = "infinity"
         w0, w1 = membership_witness_rational(A, vec)
-        result = {"member": False,
-                  "witness_rational": [_frac(w0), _frac(w1)]}
-        return [_record("sol cert", inputs, result)], 0
-    result = {"member": True, "verified": True,
-              "factor_count": cert.factor_count,
-              "target": _sol_element(cert.target)}
-    certificates = [_sol_factor(x, y) for x, y in cert.factors]
-    return [_record("sol cert", inputs, result, certificates)], 0
+        result["witness_rational"] = [_frac(w0), _frac(w1)]
+        certificates = None
+    else:
+        result = ({"member": True, "scl": "0/1"} if report else
+                  {"member": True, "verified": True,
+                   "factor_count": cert.factor_count,
+                   "target": _sol_element(cert.target)})
+        certificates = [_sol_factor(x, y) for x, y in cert.factors]
+    return [_record("sol " + args.sol_command, inputs, result,
+                    certificates)], 0
 
 
 def _cmd_sol_decompose(args):
@@ -506,24 +512,6 @@ def _cmd_sol_decompose(args):
     certificates = [_sol_factor(x, y) for x, y in outcome.expression.factors]
     inputs = {"matrix": list(A.flat), "vector": list(vec)}
     return [_record("sol decompose", inputs, result, certificates)], 0
-
-
-def _cmd_sol_report(args):
-    A = _matrix_arg(args)
-    vec = _vector_arg(args)
-    report = sol_scl_report(A, vec)
-    result: dict = {"member": report.member}
-    certificates = None
-    if report.member:
-        result["scl"] = _frac(report.scl)
-        certificates = [_sol_factor(x, y)
-                        for x, y in report.certificate.factors]
-    else:
-        result["scl"] = "infinity"
-        w0, w1 = report.witness_rational
-        result["witness_rational"] = [_frac(w0), _frac(w1)]
-    inputs = {"matrix": list(A.flat), "vector": list(vec)}
-    return [_record("sol report", inputs, result, certificates)], 0
 
 
 def _cmd_sol_mul(args):
@@ -625,7 +613,7 @@ def _cmd_audit(args):
         try:
             detail = check()
             result = {"check": name, "passed": True, **detail}
-        except (AuditError, DefectCertificateError) as exc:
+        except AuditError as exc:
             failed = True
             result = {"check": name, "passed": False, "reason": str(exc)}
         records.append(_record("audit", inputs, result))
@@ -757,9 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
     sol_sub = p.add_subparsers(dest="sol_command", required=True)
     for name, handler in (
             ("member", _cmd_sol_member),
-            ("cert", _cmd_sol_cert),
+            ("cert", _cmd_sol_certificate),
             ("decompose", _cmd_sol_decompose),
-            ("report", _cmd_sol_report),
+            ("report", _cmd_sol_certificate),
             ("mul", _cmd_sol_mul)):
         q = sol_sub.add_parser(name, parents=[common])
         q.add_argument("--matrix", required=True,

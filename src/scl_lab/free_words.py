@@ -280,11 +280,14 @@ def _parse_sequence(text: str, i: int, rank: int, stop: str) -> tuple[list[int],
         while True:
             j = _skip_ws(text, i)
             if j < len(text) and text[j] == "^":
-                n, i = _parse_int(text, j + 1)
-                if n < 0:
-                    item = list(_inv(item)) * (-n)
-                else:
-                    item = item * n
+                start = _skip_ws(text, j + 1)
+                n, i = _parse_int(text, start)
+                try:
+                    item = list(_inv(item)) * (-n) if n < 0 else item * n
+                except (MemoryError, OverflowError):
+                    raise WordSyntaxError(
+                        f"power {n} of a {len(item)}-letter word is too "
+                        f"large to build", start) from None
             else:
                 break
         out.extend(item)

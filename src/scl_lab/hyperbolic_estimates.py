@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import SclLabError
+from .errors import AuditError
 
 __all__ = [
     "AREA_TOL",
@@ -30,7 +30,6 @@ __all__ = [
     "SurgeryCoeffs",
     "SurfaceData",
     "GapParams",
-    "AuditError",
     "AuditReport",
     "ideal_triangle_area",
     "hk_min_core_length",
@@ -63,10 +62,6 @@ SURGERY_COEFFICIENT = 3.993
 
 #: Coefficients of the three audited inequalities, in audit order.
 AUDIT_COEFFICIENTS = (1.0376, 0.9816, 1.0206)
-
-
-class AuditError(SclLabError):
-    """A printed inequality failed on the audit grid."""
 
 
 # ---------------------------------------------------------------------------

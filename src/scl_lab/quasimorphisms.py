@@ -17,15 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .errors import SclLabError
+from .errors import AuditError
 from .free_words import (
     CyclicWord,
+    RankMismatchError,
     ReducedWord,
     WordError,
     _count_up_to,
+    _cyclic_copy_rate,
+    _cyclic_starts,
+    _inv,
     _unrank_codes,
     count_disjoint_copies,
-    count_disjoint_copies_cyclic,
     cyclically_reduce,
     enumerate_reduced_words,
     invert,
@@ -43,7 +46,6 @@ __all__ = [
     "homogenize_estimate",
     "DefectScan",
     "defect_observed",
-    "DefectCertificateError",
     "DET_TOL",
     "SUBDIVISIONS",
     "CircleLift",
@@ -63,10 +65,6 @@ BROOKS_DEFECT = 3
 #: Certified defect bound for its homogenization (at most twice the plain
 #: defect).
 HOMOGENEOUS_BROOKS_DEFECT = 6
-
-
-class DefectCertificateError(SclLabError):
-    """An observed defect exceeded a certified bound; the bound is wrong."""
 
 
 @dataclass(frozen=True)
@@ -105,12 +103,23 @@ def brooks(w: ReducedWord) -> QuasimorphismHandle:
         defect_certificate=BROOKS_DEFECT)
 
 
+def _homogeneous_value(starts: dict, codes: tuple[int, ...], L: int
+                       ) -> Fraction:
+    """``rate(w) - rate(w^-1)`` for the pattern ``w = codes``, read from the
+    table ``_cyclic_starts(core, len(codes))`` of a nonempty core of
+    length ``L``."""
+    k = len(codes)
+    return (_cyclic_copy_rate(starts.get(codes, ()), k, L)
+            - _cyclic_copy_rate(starts.get(_inv(codes), ()), k, L))
+
+
 def brooks_homogeneous_exact(w: ReducedWord,
                              a: Union[ReducedWord, CyclicWord]) -> Fraction:
     """Exact value of the homogenized counting quasimorphism of ``w`` at ``a``.
 
     Equals ``lim_n brooks(w)(a^n) / n``, computed as a rational via cyclic
-    counting on the cyclic core of ``a``.  Conjugation-invariant by
+    counting on the cyclic core of ``a``, whose subwords of length ``|w|``
+    are tabled once for ``w`` and its inverse.  Conjugation-invariant by
     construction.  A ``CyclicWord`` is taken as that core already, so a
     scan over many patterns reduces ``a`` once.
     """
@@ -119,8 +128,10 @@ def brooks_homogeneous_exact(w: ReducedWord,
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     if core.length == 0:
         return Fraction(0)
-    return (count_disjoint_copies_cyclic(w, core)
-            - count_disjoint_copies_cyclic(invert(w), core))
+    if w.rank != core.rank:
+        raise RankMismatchError(f"rank {w.rank} vs rank {core.rank}")
+    return _homogeneous_value(_cyclic_starts(core.codes, len(w.codes)),
+                              w.codes, core.length)
 
 
 def brooks_homogeneous(w: ReducedWord) -> QuasimorphismHandle:
@@ -192,10 +203,12 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
     ``max_len``.
 
     Scans every pair when the pair count stays within ``pairs_threshold``,
-    otherwise a seeded random sample.  Raises DefectCertificateError if an
+    otherwise a seeded random sample.  Raises AuditError if an
     observation beats the handle's certified bound, since that means the
     certificate (or the evaluator) is wrong.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rank = handle.rank
     n = _count_up_to(rank, max_len)
     best: Value = 0
@@ -226,7 +239,7 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
                 best = d
     cert = handle.defect_certificate
     if cert is not None and best > cert:
-        raise DefectCertificateError(
+        raise AuditError(
             f"observed defect {best} exceeds certified bound {cert} "
             f"for {handle.name}")
     return DefectScan(best, mode, pairs)

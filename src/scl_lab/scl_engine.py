@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional, Union
 
-from .errors import SclLabError
+from .errors import CertificateError, SearchBudgetError, SoundnessError
 from .free_words import (
     CyclicWord,
     RankMismatchError,
@@ -25,7 +25,6 @@ from .free_words import (
     WordError,
     _codes_up_to,
     _count_up_to,
-    _cyclic_copy_rate,
     _cyclic_split,
     _cyclic_starts,
     _inv,
@@ -39,14 +38,10 @@ from .free_words import (
     power,
     word_sort_key,
 )
-from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT
+from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT, _homogeneous_value
 
 __all__ = [
-    "CertificateError",
     "NotInCommutatorSubgroupError",
-    "SoundnessError",
-    "WitnessError",
-    "SearchBudgetError",
     "CommutatorCertificate",
     "cl_upper",
     "cl_lower",
@@ -69,30 +64,8 @@ DEFAULT_PAIR_BUDGET = 3_000_000
 _PACK_OFFSET = 64  # byte packing supports letter codes in [-63, 63]
 
 
-class CertificateError(SclLabError):
-    """A certificate failed its own verification."""
-
-    label = "certificate check failed"
-
-
 class NotInCommutatorSubgroupError(ValueError):
     """The word has nonzero abelianization, so no commutator product equals it."""
-
-
-class SoundnessError(SclLabError):
-    """Certified bounds contradict each other or the Duncan-Howie 1/2
-    floor; indicates an internal bug, never a property of the input."""
-
-
-class WitnessError(SclLabError):
-    """A search hit could not be rebuilt into a certificate; internal bug."""
-
-
-class SearchBudgetError(SclLabError):
-    """The requested search exceeds the configured pair budget."""
-
-    exit_code = 3
-    label = "budget exhausted"
 
 
 @dataclass(frozen=True)
@@ -404,7 +377,7 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     pair1 = _genus_one_search(ReducedWord(rank, first, _trusted=True), max_len)
     pair2 = _genus_one_search(ReducedWord(rank, rest, _trusted=True), max_len)
     if pair1 is None or pair2 is None:
-        raise WitnessError(
+        raise SoundnessError(
             "index hit could not be rebuilt into commutator pairs")
     return (pair1, pair2)
 
@@ -487,9 +460,9 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
     ``CyclicWord`` is taken as the core of ``a`` already.
 
     The core's cyclic subwords of each pattern length are tabled with their
-    start positions once, and each pattern and its inverse count copies by
-    the restart walk over their own starts, so a scan reads the core once
-    per pattern length, not twice per pattern.
+    start positions once, and each pattern's value is read from the table
+    of its length by ``brooks_homogeneous_exact``'s routine, so a scan
+    reads the core once per pattern length, not twice per pattern.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     if dictionary is None:
@@ -509,9 +482,7 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
         starts = tables.get(k)
         if starts is None:
             starts = tables[k] = _cyclic_starts(core.codes, k)
-        value = abs(_cyclic_copy_rate(starts.get(pattern.codes, ()), k, L)
-                    - _cyclic_copy_rate(starts.get(_inv(pattern.codes), ()),
-                                        k, L))
+        value = abs(_homogeneous_value(starts, pattern.codes, L))
         bound = value / (2 * HOMOGENEOUS_BROOKS_DEFECT)
         if bound > best:
             best = bound

@@ -22,15 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
-from .errors import SclLabError
+from .errors import CertificateError, SolProfileError, SoundnessError
 
 __all__ = [
     "SolError",
     "SolMembershipError",
-    "SolCertificateError",
-    "SolProfileError",
     "AnosovMatrix",
     "SolElement",
     "SOL_IDENTITY_T",
@@ -47,8 +46,6 @@ __all__ = [
     "DecompositionTrace",
     "DecompositionOutcome",
     "recursive_log_decomposition",
-    "SolSclReport",
-    "sol_scl_report",
 ]
 
 
@@ -58,20 +55,6 @@ class SolError(ValueError):
 
 class SolMembershipError(SolError):
     """The fiber vector is not in the commutator subgroup."""
-
-
-class SolCertificateError(SclLabError):
-    """A Sol certificate failed its own verification."""
-
-    label = "certificate check failed"
-
-
-class SolProfileError(SclLabError):
-    """No box up to the largest one tried certifies a contraction for the
-    matrix, so the recursive decomposition cannot run on it."""
-
-    exit_code = 3
-    label = "inconclusive"
 
 
 Vec = tuple[int, int]
@@ -221,7 +204,7 @@ class SolCommutatorExpression:
             product = sol_mul(self.matrix, product,
                               sol_commutator(self.matrix, x, y))
         if product != self.target:
-            raise SolCertificateError(
+            raise CertificateError(
                 f"commutator product {product} does not equal {self.target}")
 
     @property
@@ -232,11 +215,17 @@ class SolCommutatorExpression:
 _G = SolElement((0, 0), 1)
 
 
-def _fiber_factor(A: AnosovMatrix, piece: Vec) -> tuple[SolElement, SolElement]:
-    """The pair (g, (u, 0)) with [g, (u, 0)] = (piece, 0)."""
-    u = membership_commutator_subgroup(A, piece)
-    if u is None:  # pragma: no cover - callers stay inside the image lattice
-        raise SolMembershipError(f"piece {piece} is not in the image lattice")
+def _fiber_factor(A: AnosovMatrix, a: Vec) -> tuple[SolElement, SolElement]:
+    """The pair (g, (u, 0)) with [g, (u, 0)] = (a, 0), from one solve.
+
+    Raises SolMembershipError when the solve is not integral.
+    """
+    u = membership_commutator_subgroup(A, a)
+    if u is None:
+        raise SolMembershipError(
+            f"{a} is not in the commutator subgroup: "
+            f"(A - I)^-1 {a} = {membership_witness_rational(A, a)} "
+            f"is not integral")
     return (_G, SolElement(u, 0))
 
 
@@ -244,19 +233,13 @@ def commutator_certificate(A: AnosovMatrix, a: Vec) -> SolCommutatorExpression:
     """One-commutator certificate ``(a, 0) = [g, (u, 0)]`` for a member.
 
     ``g`` is the vertical generator; the identity gets the empty product.
-    Raises SolMembershipError when the defining solve is not integral.
+    The identity ``(A - I)(n u) = n a`` keeps the commutator length at 1
+    for every power, so a certificate proves scl 0.  Raises
+    SolMembershipError when the defining solve is not integral.
     """
     a = (int(a[0]), int(a[1]))
-    if a == (0, 0):
-        return SolCommutatorExpression(A, (), SOL_IDENTITY_T)
-    u = membership_commutator_subgroup(A, a)
-    if u is None:
-        raise SolMembershipError(
-            f"{a} is not in the commutator subgroup: "
-            f"(A - I)^-1 {a} = {membership_witness_rational(A, a)} "
-            f"is not integral")
-    return SolCommutatorExpression(
-        A, ((_G, SolElement(u, 0)),), SolElement(a, 0))
+    factors = (_fiber_factor(A, a),) if a != (0, 0) else ()
+    return SolCommutatorExpression(A, factors, SolElement(a, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +257,11 @@ class DecompositionTrace:
 
     ``constants`` records the eigenvalue, box bound, component half-ranges,
     contraction factors, and the (c1, c2) of the factor-count bound
-    ``count <= c1 * log(|a| + 2) + c2`` checked at every level.
+    ``count <= c1 * log(|a| + 2) + c2`` checked at every level; it is the
+    matrix's cached profile record, read-only.
     """
 
-    constants: dict
+    constants: Mapping[str, float]
     levels: tuple[LevelRecord, ...]
     factor_count: int
 
@@ -288,19 +272,11 @@ class DecompositionOutcome(NamedTuple):
 
 
 class _Profile(NamedTuple):
-    lam: float                # |expanding eigenvalue| > 1
     comp_plus: tuple          # dual functional coefficients, expanding
     comp_minus: tuple
-    box_bound: int
     members_plus: tuple       # orbit-minimal box vectors for A^k pieces
     members_minus: tuple      # orbit-minimal box vectors for A^-k pieces
-    h_plus: float
-    h_minus: float
-    contraction_plus: float
-    contraction_minus: float
-    base_bound: int
-    c1: float
-    c2: float
+    constants: Mapping[str, float]  # the recorded constants, in record order
 
 
 def _component(coeffs, v: Vec) -> float:
@@ -359,13 +335,19 @@ def _decomposition_profile(flat: tuple[int, int, int, int]) -> _Profile:
         c_minus = lam * gap_minus / (2 * h_minus)
         if c_plus < 0.98 and c_minus < 0.98:
             contraction = max(c_plus, c_minus, 0.05)
-            base_bound = 4 * box_bound
-            c1 = 2.0 / math.log(1 / contraction)
-            c2 = 8.0
-            return _Profile(lam, comp_plus, comp_minus, box_bound,
-                            members_plus, members_minus,
-                            h_plus, h_minus, c_plus, c_minus, base_bound,
-                            c1, c2)
+            constants = {
+                "eigenvalue": lam,
+                "box_bound": box_bound,
+                "half_range_expanding": h_plus,
+                "half_range_contracting": h_minus,
+                "contraction_expanding": c_plus,
+                "contraction_contracting": c_minus,
+                "base_bound": 4 * box_bound,
+                "c1": 2.0 / math.log(1 / contraction),
+                "c2": 8.0,
+            }
+            return _Profile(comp_plus, comp_minus, members_plus,
+                            members_minus, MappingProxyType(constants))
     raise SolProfileError(
         f"could not certify an eigendirection contraction for {A} with "
         f"boxes up to 8")
@@ -439,18 +421,12 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec
         raise SolMembershipError(
             f"{a} is not in the commutator subgroup of the {A} lattice")
     prof = _decomposition_profile(A.flat)
-    constants = {
-        "eigenvalue": prof.lam,
-        "box_bound": prof.box_bound,
-        "half_range_expanding": prof.h_plus,
-        "half_range_contracting": prof.h_minus,
-        "contraction_expanding": prof.contraction_plus,
-        "contraction_contracting": prof.contraction_minus,
-        "base_bound": prof.base_bound,
-        "c1": prof.c1,
-        "c2": prof.c2,
-    }
-    bound = prof.c1 * math.log(_sup(a) + 2) + prof.c2
+    constants = prof.constants
+    lam = constants["eigenvalue"]
+    h_plus = constants["half_range_expanding"]
+    h_minus = constants["half_range_contracting"]
+    base_bound = constants["base_bound"]
+    bound = constants["c1"] * math.log(_sup(a) + 2) + constants["c2"]
     factors: list[tuple[SolElement, SolElement]] = []
     levels: list[LevelRecord] = []
     r = a
@@ -460,25 +436,25 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec
         # factor, so this count never exceeds the final one
         count = len(factors) + (r != (0, 0))
         if count > bound:
-            raise SclLabError(
+            raise SoundnessError(
                 f"factor count {count} exceeds the recorded bound "
                 f"{bound:.2f} for {a}; the (c1, c2) constants are wrong")
-        if _sup(r) <= prof.base_bound:
+        if _sup(r) <= base_bound:
             break
         r_in = r
         pieces = []
-        k1 = _least_power(prof.comp_plus, r, prof.lam, prof.h_plus)
+        k1 = _least_power(prof.comp_plus, r, lam, h_plus)
         b1, image, r = _best_piece(A, prof.members_plus, r, k1)
         if b1 is not None:
             pieces.append((k1, b1))
             factors.append(_fiber_factor(A, image))
-        k2 = _least_power(prof.comp_minus, r, prof.lam, prof.h_minus)
+        k2 = _least_power(prof.comp_minus, r, lam, h_minus)
         b2, image, r = _best_piece(A, prof.members_minus, r, -k2)
         if b2 is not None:
             pieces.append((-k2, b2))
             factors.append(_fiber_factor(A, image))
         if _sup(r) >= _sup(r_in):
-            raise SclLabError(
+            raise SoundnessError(
                 f"certified contraction failed at {r_in} -> {r} for {A}; "
                 f"this is a bug in the profile constants")
         levels.append(LevelRecord(r_in, tuple(pieces), r))
@@ -488,35 +464,3 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec
     trace = DecompositionTrace(constants, tuple(levels), len(factors))
     return DecompositionOutcome(expression, trace)
 
-
-# ---------------------------------------------------------------------------
-# the report
-
-@dataclass(frozen=True)
-class SolSclReport:
-    """Membership verdict and scl value for a fiber vector.
-
-    Members get scl 0 with the direct certificate; the identity
-    ``(A - I)(n u) = n a`` keeps the commutator length at 1 for every
-    power, which is the whole vanishing argument.  Non-members report an
-    infinite scl (scl None) with the non-integral solve as witness.
-    """
-
-    matrix: AnosovMatrix
-    vector: Vec
-    member: bool
-    scl: Optional[Fraction]
-    certificate: Optional[SolCommutatorExpression] = None
-    witness_rational: Optional[tuple[Fraction, Fraction]] = None
-
-
-def sol_scl_report(A: AnosovMatrix, a: Vec) -> SolSclReport:
-    a = (int(a[0]), int(a[1]))
-    u = membership_commutator_subgroup(A, a)
-    if u is None:
-        return SolSclReport(
-            matrix=A, vector=a, member=False, scl=None,
-            witness_rational=membership_witness_rational(A, a))
-    return SolSclReport(
-        matrix=A, vector=a, member=True, scl=Fraction(0),
-        certificate=commutator_certificate(A, a))

@@ -10,18 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from scl_lab import cli
+from scl_lab import cli, errors, sol_geometry
 from scl_lab.cli import main
-from scl_lab.errors import SclLabError
-from scl_lab.hyperbolic_estimates import AuditError
-from scl_lab.quasimorphisms import DefectCertificateError
-from scl_lab.scl_engine import (
+from scl_lab.errors import (
+    AuditError,
     CertificateError,
+    SclLabError,
     SearchBudgetError,
+    SolProfileError,
     SoundnessError,
-    WitnessError,
 )
-from scl_lab.sol_geometry import SolCertificateError, SolProfileError
 
 
 def run_cli(capsys, *argv, expect=0):
@@ -180,6 +178,23 @@ class TestExitCodes:
         assert code == 2
         assert "position 3" in captured.err
 
+    @pytest.mark.parametrize("argv,position", [
+        (["word", "--word", "a^1000000000000000"], 2),
+        (["scl", "--word", "[a,b]^1000000000000000"], 6),
+        (["word", "--word", "a^100000000000000000000"], 2),
+        (["cl", "--word", "(ab)^ -100000000000000000000"], 6),
+    ])
+    def test_power_too_large_to_build_is_invalid_input(self, capsys, argv,
+                                                       position):
+        # the repeated word does not fit in memory or in an index
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("scl-lab: error: power ")
+        assert captured.err.endswith(
+            f"is too large to build (position {position})\n")
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -284,19 +299,30 @@ class TestDefectSampling:
         assert record["result"]["pairs_checked"] == 1000
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("samples,budget", [
+        ("-5", "9"), ("0", "9"), ("-5", "2")])
+    def test_sample_count_below_one_is_invalid_input(self, capsys, samples,
+                                                     budget):
+        code = main(["defect", "--pattern", "ab", "--length-budget", budget,
+                     "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == \
+            f"scl-lab: error: samples must be >= 1, got {samples}\n"
+
 
 #: every SclLabError class with the exit code and stderr label it must get
 ERROR_EXITS = {
     SclLabError: (1, "soundness failure"),
     CertificateError: (1, "certificate check failed"),
-    SolCertificateError: (1, "certificate check failed"),
     SoundnessError: (1, "soundness failure"),
-    WitnessError: (1, "soundness failure"),
-    DefectCertificateError: (1, "soundness failure"),
     AuditError: (1, "soundness failure"),
     SearchBudgetError: (3, "budget exhausted"),
     SolProfileError: (3, "inconclusive"),
 }
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
 
 
 def _with_subclasses(cls):
@@ -322,6 +348,19 @@ class TestInternalErrors:
 
     def test_every_error_class_is_covered(self):
         assert _with_subclasses(SclLabError) == set(ERROR_EXITS)
+
+    @pytest.mark.parametrize("error", sorted(
+        _with_subclasses(SclLabError), key=lambda e: e.__name__),
+        ids=lambda e: e.__name__)
+    def test_one_hierarchy_in_errors_and_the_readme(self, error):
+        # defined in errors.py, listed in the README exit-code table, and
+        # its code and label pinned above
+        assert error.__module__ == errors.__name__
+        assert getattr(errors, error.__name__) is error
+        table = [line for line in README.splitlines()
+                 if line.startswith(f"| {error.exit_code} ")]
+        assert len(table) == 1 and f"`{error.__name__}`" in table[0]
+        assert ERROR_EXITS[error] == (error.exit_code, error.label)
 
     @pytest.mark.parametrize("error", [
         e for e, (code, _) in ERROR_EXITS.items() if code == 1],
@@ -622,6 +661,70 @@ def test_sol_golden_corpus_covers_every_leaf_and_exit():
         == {"member", "cert", "decompose", "report", "mul"}
     assert {record["exit"] for record in GOLDEN_SOL} == {0, 1, 2, 3}
     assert any("--table" in record["argv"] for record in GOLDEN_SOL)
+
+
+#: records taken while ``sol report`` had its own report type and the
+#: homogeneous Brooks value tabled the core once per count: ``sol
+#: member|cert|report|decompose`` on the identity, on members of 1 to 60
+#: digits and on non-members of six matrices (the benchmark's four,
+#: (0,1,-1,3) and (3,2,4,3)); 60 seeded ``brooks`` calls, plain and
+#: ``--homogeneous``, with patterns of 1 to 5 letters; three ``audit`` calls
+#: and one homogeneous ``defect`` scan
+GOLDEN_SOL_BROOKS_AUDIT = json.loads(
+    (Path(__file__).resolve().parent / "data"
+     / "sol_brooks_audit_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", GOLDEN_SOL_BROOKS_AUDIT,
+                         ids=lambda record: " ".join(record["argv"])[:80])
+def test_sol_brooks_audit_golden_records_byte_for_byte(capsys, record):
+    code = main(list(record["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) \
+        == (record["exit"], record["stdout"], record["stderr"])
+
+
+def test_sol_brooks_audit_golden_corpus_coverage():
+    by_command = {}
+    for record in GOLDEN_SOL_BROOKS_AUDIT:
+        key = tuple(record["argv"][:2]) if record["argv"][0] == "sol" \
+            else record["argv"][0]
+        by_command.setdefault(key, set()).add(record["exit"])
+    assert by_command[("sol", "report")] == {0}
+    assert by_command[("sol", "decompose")] == {0, 1, 2}
+    assert by_command["brooks"] == {0, 2}
+    assert {"audit", "defect", ("sol", "member"), ("sol", "cert")} \
+        <= set(by_command)
+    reports = [json.loads(record["stdout"]) for record in GOLDEN_SOL_BROOKS_AUDIT
+               if record["argv"][:2] == ["sol", "report"]]
+    assert {report["result"]["scl"] for report in reports} \
+        == {"0/1", "infinity"}
+    assert [] in [report["certificates"] for report in reports]
+    homogeneous = [record for record in GOLDEN_SOL_BROOKS_AUDIT
+                   if "--homogeneous" in record["argv"]
+                   and record["argv"][0] == "brooks"]
+    assert len(homogeneous) == 60
+
+
+@pytest.mark.parametrize("leaf", ["cert", "report"])
+def test_sol_certificate_of_a_member_costs_one_solve(capsys, monkeypatch,
+                                                      leaf):
+    calls = []
+    real = sol_geometry.membership_commutator_subgroup
+
+    def counted(A, a):
+        calls.append(a)
+        return real(A, a)
+
+    monkeypatch.setattr(sol_geometry, "membership_commutator_subgroup",
+                        counted)
+    monkeypatch.setattr(cli, "membership_commutator_subgroup", counted)
+    # (A - I)(10^40, 7) for A = (5,3,3,2)
+    assert main(["sol", leaf, "--matrix=5,3,3,2",
+                 f"--vector={4 * 10 ** 40 + 21},{3 * 10 ** 40 + 7}"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"]["member"] is True
+    assert len(calls) == 1
 
 
 class TestParserReuse:

@@ -6,7 +6,6 @@ import mpmath
 import pytest
 
 from scl_lab.hyperbolic_estimates import (
-    AuditError,
     CuspShape,
     GapParams,
     SurfaceData,

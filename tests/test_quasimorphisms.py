@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scl_lab.errors import AuditError
 from scl_lab.free_words import (
+    RankMismatchError,
     ReducedWord,
     WordError,
     conjugate,
+    count_disjoint_copies_cyclic,
+    cyclically_reduce,
     enumerate_reduced_words,
+    invert,
     parse_word,
     power,
 )
@@ -18,7 +23,6 @@ from scl_lab.quasimorphisms import (
     BROOKS_DEFECT,
     HOMOGENEOUS_BROOKS_DEFECT,
     CircleLift,
-    DefectCertificateError,
     QuasimorphismHandle,
     brooks,
     brooks_homogeneous,
@@ -129,6 +133,59 @@ class TestHomogeneous:
             homogenize_estimate(brooks(w("ab")), w("a"), 0)
 
 
+def two_table_value(pattern, a):
+    """The homogeneous value as two cyclic counts, each tabling the core."""
+    core = cyclically_reduce(a)[0]
+    if core.length == 0:
+        return Fraction(0)
+    return (count_disjoint_copies_cyclic(pattern, core)
+            - count_disjoint_copies_cyclic(invert(pattern), core))
+
+
+class TestOneStartTable:
+    """``brooks_homogeneous_exact`` tables the core once for a pattern and
+    its inverse, and equals the two separate cyclic counts."""
+
+    def test_matches_two_cyclic_counts(self):
+        rng = random.Random(20261019)
+        nonzero = absent = longer = 0
+        for rank in (1, 2, 3):
+            for _ in range(40):
+                a = random_reduced(rng, rank, rng.randrange(0, 201))
+                core = cyclically_reduce(a)[0]
+                patterns = [random_reduced(rng, rank, k) for k in range(2, 7)]
+                if core.length:
+                    periodic = core.codes * (3 + 4 // core.length)
+                    i = rng.randrange(core.length)
+                    for k in (2, core.length, core.length + 1,
+                              core.length + 3):
+                        patterns.append(ReducedWord(rank, periodic[i:i + k]))
+                for pattern in patterns + [invert(p) for p in patterns]:
+                    if len(pattern) < 2:
+                        continue
+                    value = brooks_homogeneous_exact(pattern, a)
+                    assert value == two_table_value(pattern, a)
+                    assert brooks_homogeneous_exact(pattern, core) == value
+                    nonzero += value != 0
+                    longer += len(pattern) > core.length > 0
+                    absent += core.length > 0 and value == 0 and \
+                        count_disjoint_copies_cyclic(pattern, core) == 0
+        assert nonzero >= 300 and absent >= 100 and longer >= 200
+
+    def test_same_errors_as_two_cyclic_counts(self):
+        short, core3 = w("a"), cyclically_reduce(parse_word("abcab", 3))[0]
+        for value in (lambda p, a: brooks_homogeneous_exact(p, a),
+                      two_table_value):
+            with pytest.raises(WordError):
+                value(short, w("ab"))
+            with pytest.raises(RankMismatchError):
+                value(w("ab"), parse_word("abcab", 3))
+            with pytest.raises(RankMismatchError):
+                value(w("ab"), core3)
+            # an empty core has value 0 at any rank, as before
+            assert value(w("ab"), parse_word("cC", 3)) == 0
+
+
 class TestSymmetrize:
     def test_brooks_is_already_antisymmetric(self):
         rng = random.Random(11)
@@ -183,7 +240,7 @@ class TestDefectScan:
     def test_bad_certificate_trips(self):
         bogus = QuasimorphismHandle(
             "bogus", 2, brooks(w("ab")).evaluate, defect_certificate=0)
-        with pytest.raises(DefectCertificateError):
+        with pytest.raises(AuditError):
             defect_observed(bogus, 2)
 
 

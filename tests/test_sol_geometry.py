@@ -9,16 +9,14 @@ from fractions import Fraction
 import pytest
 
 from scl_lab import sol_geometry
-from scl_lab.errors import SclLabError
+from scl_lab.errors import CertificateError, SclLabError, SolProfileError
 from scl_lab.sol_geometry import (
     SOL_IDENTITY_T,
     AnosovMatrix,
-    SolCertificateError,
     SolCommutatorExpression,
     SolElement,
     SolError,
     SolMembershipError,
-    SolProfileError,
     commutator_certificate,
     membership_commutator_subgroup,
     membership_witness_rational,
@@ -28,7 +26,6 @@ from scl_lab.sol_geometry import (
     sol_inverse,
     sol_mul,
     sol_power,
-    sol_scl_report,
 )
 
 FIB_MATRIX = AnosovMatrix(2, 1, 1, 1)
@@ -228,7 +225,7 @@ class TestDirectCertificate:
 
     def test_expression_verifies_itself(self):
         # wrong target must be rejected at construction
-        with pytest.raises(SolCertificateError, match="does not equal"):
+        with pytest.raises(CertificateError, match="does not equal"):
             SolCommutatorExpression(
                 FIB_MATRIX, ((G, SolElement((1, 0), 0)),), SolElement((5, 5), 0))
 
@@ -327,8 +324,13 @@ class TestRecursiveDecomposition:
         # with c1 = 0 and c2 = 3 the recorded bound is 3 factors, which a
         # member needing more levels exceeds before the loop runs on
         real = sol_geometry._decomposition_profile
-        monkeypatch.setattr(sol_geometry, "_decomposition_profile",
-                            lambda flat: real(flat)._replace(c1=0.0, c2=3.0))
+
+        def lowered(flat):
+            prof = real(flat)
+            return prof._replace(
+                constants={**prof.constants, "c1": 0.0, "c2": 3.0})
+
+        monkeypatch.setattr(sol_geometry, "_decomposition_profile", lowered)
         a = image_vector(FIB_MATRIX, (fib(40), fib(39)))
         with pytest.raises(SclLabError, match="exceeds the recorded bound"):
             recursive_log_decomposition(FIB_MATRIX, a)
@@ -342,28 +344,33 @@ class TestRecursiveDecomposition:
 
 
 class TestSclReport:
+    """The two answers ``sol report`` is built from: a one-commutator
+    certificate on every power of a member (scl 0), and the non-integral
+    solve of a non-member (scl infinity)."""
+
     def test_member_gets_zero_with_certificate(self):
-        report = sol_scl_report(FIB_MATRIX, (1, 1))
-        assert report.member
-        assert report.scl == Fraction(0)
-        assert report.certificate.factor_count == 1
-        assert report.witness_rational is None
+        cert = commutator_certificate(FIB_MATRIX, (1, 1))
+        assert cert.factor_count == 1
+        assert cert.target == SolElement((1, 1), 0)
+        # cl(a^n) = 1 for every n, so scl(a) = lim cl(a^n) / n = 0
+        for n in (2, 7, 10 ** 30):
+            power = commutator_certificate(FIB_MATRIX, (n, n))
+            assert power.factor_count == 1
+            assert power.target == sol_power(FIB_MATRIX, cert.target, n)
 
     def test_non_member_gets_infinity_with_witness(self):
         A = AnosovMatrix(3, 1, 2, 1)
-        report = sol_scl_report(A, (0, 1))
-        assert not report.member
-        assert report.scl is None
-        assert report.certificate is None
-        u0, u1 = report.witness_rational
+        with pytest.raises(SolMembershipError, match="not integral"):
+            commutator_certificate(A, (0, 1))
+        u0, u1 = membership_witness_rational(A, (0, 1))
         assert u0.denominator > 1 or u1.denominator > 1
-        assert (u0, u1) == membership_witness_rational(A, (0, 1))
+        assert image_vector(A, (u0, u1)) == (0, 1)
 
     def test_identity_trivially_zero(self):
-        report = sol_scl_report(FIB_MATRIX, (0, 0))
-        assert report.member
-        assert report.scl == Fraction(0)
-        assert report.certificate.factor_count == 0
+        cert = commutator_certificate(FIB_MATRIX, (0, 0))
+        assert cert.factor_count == 0
+        assert cert.target == SOL_IDENTITY_T
+        assert membership_witness_rational(FIB_MATRIX, (0, 0)) == (0, 0)
 
 
 
