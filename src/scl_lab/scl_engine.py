@@ -273,19 +273,48 @@ def _commutator_value_index(rank: int, max_len: int):
     words packed as byte strings.  Since ``s[u, v] = [su, sv]``, it is
     enough to let ``u`` range over canonical words.  The full value set is
     closed under inversion because ``[u, v]^-1 = [v, u]``.
+
+    ``[u, v] = u v u^-1 v^-1`` can cancel only at its three junctions,
+    and only if ``v`` begins with ``u[-1]^-1``, ends with ``u[-1]`` or ends
+    with ``u[0]^-1``; these depend on the first and last letters of ``v``
+    alone, so ``v`` is taken in buckets of equal ends.  Call the stem of
+    ``u`` its shortest prefix that uses every generator, when there is one.
+    A word that begins with the stem of canonical ``u`` has the signature
+    of ``u``, whose relabelling fixes every letter, so it is canonical.
+    Where no junction cancels and ``u`` has a stem, every value of the
+    bucket is the plain concatenation and goes in as it is.  Otherwise each
+    junction is joined only if its two letters cancel, and the result is
+    relabelled only if it does not begin with the stem.
     """
     vocab = [_pack(c) for c in _codes_up_to(rank, max_len) if c]
-    entries = [(v, _inverse(v)) for v in vocab]
+    ends: dict[tuple[int, int], list] = {}
+    for v in vocab:
+        ends.setdefault((v[0], v[-1]), []).append((v, _inverse(v)))
     seen: set[bytes] = set()
     add = seen.add
     for u in vocab:
         if _canon(u, rank) != u:
             continue
         iu = _inverse(u)
-        for v, iv in entries:
-            c = _join(_join(_join(u, v), iu), iv)
-            if c:
-                add(_canon(c, rank))
+        first, last = u[0], u[-1]
+        sig = _signature(u, rank)
+        stem = u[:u.index(sig[-1]) + 1] if len(sig) == rank else None
+        for (f, l), bucket in ends.items():
+            cancels_u_v = f + last == 2 * _PACK_OFFSET
+            cancels_v_iu = l == last
+            cancels_iu_iv = l + first == 2 * _PACK_OFFSET
+            if stem is not None and not (
+                    cancels_u_v or cancels_v_iu or cancels_iu_iv):
+                seen.update([u + v + iu + iv for v, iv in bucket])
+                continue
+            for v, iv in bucket:
+                c = _join(u, v) if cancels_u_v else u + v
+                # u v u^-1 is never empty, since v is not
+                c = _join(c, iu) if c and c[-1] == last else c + iu
+                c = _join(c, iv) if c[-1] == l else c + iv
+                if c:
+                    add(c if stem is not None and c.startswith(stem)
+                        else _canon(c, rank))
     ordered = sorted(seen)
     ordered.sort(key=len)
     return ordered, seen
@@ -406,6 +435,8 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
             f"search supports genus at most 2, got max_genus {max_genus}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if pair_budget < 0:
+        raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
     if a.is_identity():
         return CommutatorCertificate(a, ())
     if max_genus >= 1:

@@ -216,6 +216,22 @@ class TestExitCodes:
         assert "budget-exhausted" in record["flags"]
         assert "upper" not in record["result"]
 
+    @pytest.mark.parametrize("argv", [
+        ["cl", "--word", "[a,b]"], ["cl", "--word", "[a,b]^2"],
+        ["scl", "--word", "[a,b]"]])
+    def test_negative_pair_budget_is_invalid_input(self, capsys, argv):
+        code = main(argv + ["--pair-budget", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "scl-lab: error: pair_budget must be >= 0, got -1\n")
+
+    def test_zero_pair_budget_is_exit_three(self, capsys):
+        code = main(["cl", "--word", "[a,b]^2", "--pair-budget", "0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "budget is 0" in captured.err
+
     def test_cl_without_witness_is_exit_three(self, capsys):
         code = main(["cl", "--word", "[a,b]^3",
                      "--max-genus", "1", "--max-len", "5"])

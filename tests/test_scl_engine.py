@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -152,6 +153,13 @@ class TestClUpper:
     def test_genus_cap(self):
         with pytest.raises(ValueError):
             cl_upper(w("abAB"), max_genus=3)
+
+    def test_negative_pair_budget_rejected(self):
+        # rejected before any search, also for a word genus 1 answers
+        for text in ("[a,b]", "[a,b]^2"):
+            with pytest.raises(ValueError,
+                               match="pair_budget must be >= 0, got -1"):
+                cl_upper(w(text), pair_budget=-1)
 
     def test_genus_subadditivity_spot_check(self):
         # the searches are complete for their budget, so a product can
@@ -454,15 +462,30 @@ class TestGenusOneCandidates:
 
 
 class TestOrbitIndex:
-    @pytest.mark.parametrize("rank,max_len", [(2, 3), (2, 4), (3, 2), (3, 3)])
+    # rank 1 has no nontrivial value; at rank 4 and max_len 2 no u uses
+    # every generator, so every value needs relabelling, even where no
+    # junction cancels
+    @pytest.mark.parametrize("rank,max_len", [
+        (1, 4), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
     def test_orbits_expand_to_the_brute_force_values(self, rank, max_len):
         ordered, seen = _commutator_value_index(rank, max_len)
         assert ordered == sorted(seen, key=lambda k: (len(k), k))
         assert signed_permutation_images(ordered, rank) \
             == brute_force_values(rank, max_len)[1]
-        # one word per orbit
+        # one word per orbit, the least in byte order
         assert len({frozenset(signed_permutation_images([k], rank))
                     for k in ordered}) == len(ordered)
+        assert all(k == min(signed_permutation_images([k], rank))
+                   for k in ordered)
+
+    def test_default_index_is_pinned(self):
+        # recorded from the build that relabelled every value; the shared,
+        # cached build of the default budget
+        ordered, seen = _commutator_value_index(2, DEFAULT_MAX_LEN)
+        assert len(ordered) == 231311
+        assert set(ordered) == seen
+        assert hashlib.sha256(b"\n".join(ordered)).hexdigest() == (
+            "dc9d647fc3b2318f64e31361506097d6c6534a6696799f3b6e70f5046723e62f")
 
     @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
     def test_prefix_ranges_are_the_sorted_full_ranges(self, rank, max_len):
