@@ -109,7 +109,7 @@ def _sol_fiber(v) -> str:
 
 
 def _sol_factor(x: SolElement, y: SolElement) -> list:
-    left = "g" if x == SolElement((0, 0), 1) else _sol_element(x)
+    left = "g" if x.t == 1 and x.v == (0, 0) else _sol_element(x)
     right = _sol_fiber(y.v) if y.t == 0 else _sol_element(y)
     return [left, right]
 
@@ -157,36 +157,34 @@ def _emit_table(record: dict) -> None:
 
 def _parse_int_list(text: str, count: int, label: str) -> list[int]:
     parts = text.split(",")
-    if len(parts) != count:
-        raise ValueError(
-            f"{label} needs {count} comma-separated integers, got {text!r}")
     try:
-        return [int(p) for p in parts]
+        if len(parts) == count:
+            return [int(p) for p in parts]
     except ValueError:
-        raise ValueError(
-            f"{label} needs {count} comma-separated integers, got {text!r}"
-        ) from None
+        pass
+    raise ValueError(
+        f"{label} needs {count} comma-separated integers, got {text!r}")
 
 
 def _parse_float_pair(text: str, label: str) -> complex:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(
-            f"{label} needs two comma-separated reals, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
     except ValueError:
-        raise ValueError(
-            f"{label} needs two comma-separated reals, got {text!r}") from None
+        pass
+    raise ValueError(f"{label} needs two comma-separated reals, got {text!r}")
 
 
 def _matrix_arg(args) -> AnosovMatrix:
     return AnosovMatrix(*_parse_int_list(args.matrix, 4, "--matrix"))
 
 
-def _vector_arg(args) -> tuple[int, int]:
-    v = _parse_int_list(args.vector, 2, "--vector")
-    return (v[0], v[1])
+def _sol_args(args) -> tuple[AnosovMatrix, tuple[int, int], dict]:
+    """The matrix, the fiber vector and the record inputs of a sol command."""
+    A = _matrix_arg(args)
+    v0, v1 = _parse_int_list(args.vector, 2, "--vector")
+    return A, (v0, v1), {"matrix": list(A.flat), "vector": [v0, v1]}
 
 
 def _word_arg(args, attr: str = "word") -> ReducedWord:
@@ -456,16 +454,13 @@ def _cmd_gap(args):
 # sol subcommands
 
 def _cmd_sol_member(args):
-    A = _matrix_arg(args)
-    vec = _vector_arg(args)
+    A, vec, inputs = _sol_args(args)
     u = membership_commutator_subgroup(A, vec)
-    result: dict = {"member": u is not None}
     if u is not None:
-        result["u"] = _sol_fiber(u)
+        result = {"member": True, "u": _sol_fiber(u)}
     else:
         w0, w1 = membership_witness_rational(A, vec)
-        result["witness_rational"] = [_frac(w0), _frac(w1)]
-    inputs = {"matrix": list(A.flat), "vector": list(vec)}
+        result = {"member": False, "witness_rational": [_frac(w0), _frac(w1)]}
     return [_record("sol member", inputs, result)], 0
 
 
@@ -473,10 +468,8 @@ def _cmd_sol_certificate(args):
     """``sol cert`` and ``sol report``: a member's one-commutator
     certificate, or a non-member's non-integral solve; ``report`` states
     the scl that proves (0 or infinity), ``cert`` the certificate's size."""
-    A = _matrix_arg(args)
-    vec = _vector_arg(args)
+    A, vec, inputs = _sol_args(args)
     report = args.sol_command == "report"
-    inputs = {"matrix": list(A.flat), "vector": list(vec)}
     try:
         cert = commutator_certificate(A, vec)
     except SolMembershipError:
@@ -497,8 +490,7 @@ def _cmd_sol_certificate(args):
 
 
 def _cmd_sol_decompose(args):
-    A = _matrix_arg(args)
-    vec = _vector_arg(args)
+    A, vec, inputs = _sol_args(args)
     outcome = recursive_log_decomposition(A, vec)
     trace = outcome.trace
     result = {
@@ -510,7 +502,6 @@ def _cmd_sol_decompose(args):
                       for key, val in trace.constants.items()},
     }
     certificates = [_sol_factor(x, y) for x, y in outcome.expression.factors]
-    inputs = {"matrix": list(A.flat), "vector": list(vec)}
     return [_record("sol decompose", inputs, result, certificates)], 0
 
 
@@ -518,8 +509,7 @@ def _cmd_sol_mul(args):
     A = _matrix_arg(args)
     x = _parse_int_list(args.x, 3, "--x")
     y = _parse_int_list(args.y, 3, "--y")
-    product = sol_mul(A, SolElement((x[0], x[1]), x[2]),
-                      SolElement((y[0], y[1]), y[2]))
+    product = sol_mul(A, SolElement(x[:2], x[2]), SolElement(y[:2], y[2]))
     result = {"product": _sol_element(product)}
     inputs = {"matrix": list(A.flat), "x": x, "y": y}
     return [_record("sol mul", inputs, result)], 0

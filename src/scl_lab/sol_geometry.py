@@ -18,6 +18,7 @@ in the returned trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,9 +74,8 @@ class AnosovMatrix:
         det = self.a * self.d - self.b * self.c
         if det != 1:
             raise SolError(f"determinant must be 1, got {det}")
-        if abs(self.a + self.d) <= 2:
-            raise SolError(
-                f"|trace| must exceed 2, got trace {self.a + self.d}")
+        if abs(self.trace) <= 2:
+            raise SolError(f"|trace| must exceed 2, got trace {self.trace}")
 
     @property
     def trace(self) -> int:
@@ -125,15 +125,31 @@ class SolElement:
 SOL_IDENTITY_T = SolElement((0, 0), 0)
 
 
+# the group law on (v0, v1, t) int triples, for the flat matrix entries m
+def _mul(m, x, y):
+    p0, p1, p2, p3 = _matrix_power(m, x[2])
+    return (x[0] + p0 * y[0] + p1 * y[1], x[1] + p2 * y[0] + p3 * y[1],
+            x[2] + y[2])
+
+
+def _inv(m, x):
+    p0, p1, p2, p3 = _matrix_power(m, -x[2])
+    return (-p0 * x[0] - p1 * x[1], -p2 * x[0] - p3 * x[1], -x[2])
+
+
+def _comm(m, x, y):
+    return _mul(m, _mul(m, x, y), _mul(m, _inv(m, x), _inv(m, y)))
+
+
 def sol_mul(A: AnosovMatrix, x: SolElement, y: SolElement) -> SolElement:
     """Group law (u, m)(v, n) = (u + A^m v, m + n)."""
-    w = A.apply(y.v, x.t)
-    return SolElement((x.v[0] + w[0], x.v[1] + w[1]), x.t + y.t)
+    v0, v1, t = _mul(A.flat, (*x.v, x.t), (*y.v, y.t))
+    return SolElement((v0, v1), t)
 
 
 def sol_inverse(A: AnosovMatrix, x: SolElement) -> SolElement:
-    w = A.apply(x.v, -x.t)
-    return SolElement((-w[0], -w[1]), -x.t)
+    v0, v1, t = _inv(A.flat, (*x.v, x.t))
+    return SolElement((v0, v1), t)
 
 
 def sol_power(A: AnosovMatrix, x: SolElement, n: int) -> SolElement:
@@ -156,12 +172,19 @@ def sol_conjugate(A: AnosovMatrix, x: SolElement, c: SolElement) -> SolElement:
 
 
 def sol_commutator(A: AnosovMatrix, x: SolElement, y: SolElement) -> SolElement:
-    return sol_mul(A, sol_mul(A, x, y),
-                   sol_mul(A, sol_inverse(A, x), sol_inverse(A, y)))
+    v0, v1, t = _comm(A.flat, (*x.v, x.t), (*y.v, y.t))
+    return SolElement((v0, v1), t)
 
 
 # ---------------------------------------------------------------------------
 # membership and direct certificates
+
+def _adjugate_solve(A: AnosovMatrix, a: Vec) -> tuple[int, int, int]:
+    """``(n0, n1, det)`` with ``(A - I)^-1 a = (n0, n1) / det``."""
+    a0, a1 = int(a[0]), int(a[1])
+    p, q, r, s = A.a - 1, A.b, A.c, A.d - 1
+    return (s * a0 - q * a1, p * a1 - r * a0, p * s - q * r)
+
 
 def membership_witness_rational(A: AnosovMatrix, a: Vec
                                 ) -> tuple[Fraction, Fraction]:
@@ -171,18 +194,16 @@ def membership_witness_rational(A: AnosovMatrix, a: Vec
     ``2 - trace`` and the trace avoids 2.  The vector a is in the
     commutator subgroup exactly when this solution is integral.
     """
-    a0, a1 = int(a[0]), int(a[1])
-    p, q, r, s = A.a - 1, A.b, A.c, A.d - 1
-    det = p * s - q * r
-    return (Fraction(s * a0 - q * a1, det), Fraction(-r * a0 + p * a1, det))
+    n0, n1, det = _adjugate_solve(A, a)
+    return (Fraction(n0, det), Fraction(n1, det))
 
 
 def membership_commutator_subgroup(A: AnosovMatrix, a: Vec) -> Optional[Vec]:
     """Integral u with (A - I) u = a, or None when a is not a member."""
-    u0, u1 = membership_witness_rational(A, a)
-    if u0.denominator == 1 and u1.denominator == 1:
-        return (int(u0), int(u1))
-    return None
+    n0, n1, det = _adjugate_solve(A, a)
+    u0, e0 = divmod(n0, det)
+    u1, e1 = divmod(n1, det)
+    return None if e0 or e1 else (u0, u1)
 
 
 @dataclass(frozen=True)
@@ -199,13 +220,13 @@ class SolCommutatorExpression:
     target: SolElement
 
     def __post_init__(self):
-        product = SOL_IDENTITY_T
+        m, product = self.matrix.flat, (0, 0, 0)
         for x, y in self.factors:
-            product = sol_mul(self.matrix, product,
-                              sol_commutator(self.matrix, x, y))
-        if product != self.target:
+            product = _mul(m, product, _comm(m, (*x.v, x.t), (*y.v, y.t)))
+        if product != (*self.target.v, self.target.t):
             raise CertificateError(
-                f"commutator product {product} does not equal {self.target}")
+                f"commutator product {SolElement(product[:2], product[2])} "
+                f"does not equal {self.target}")
 
     @property
     def factor_count(self) -> int:
@@ -216,10 +237,8 @@ _G = SolElement((0, 0), 1)
 
 
 def _fiber_factor(A: AnosovMatrix, a: Vec) -> tuple[SolElement, SolElement]:
-    """The pair (g, (u, 0)) with [g, (u, 0)] = (a, 0), from one solve.
-
-    Raises SolMembershipError when the solve is not integral.
-    """
+    """The pair (g, (u, 0)) with [g, (u, 0)] = (a, 0), from one solve;
+    SolMembershipError when the solve is not integral."""
     u = membership_commutator_subgroup(A, a)
     if u is None:
         raise SolMembershipError(
@@ -279,18 +298,18 @@ class _Profile(NamedTuple):
     constants: Mapping[str, float]  # the recorded constants, in record order
 
 
-def _component(coeffs, v: Vec) -> float:
-    return coeffs[0] * v[0] + coeffs[1] * v[1]
-
-
-def _max_gap(values, half_range: float) -> float:
-    window = sorted(x for x in values if -half_range <= x <= half_range)
+def _contraction(coeffs, members: tuple, lam: float) -> tuple[float, float]:
+    """Half-range h of one direction's piece values and the contraction
+    factor ``lam * gap / 2h``, for the widest gap between values in [-h, h]."""
+    values = [coeffs[0] * b0 + coeffs[1] * b1 for b0, b1 in members]
+    h = 0.999 * max(abs(x) for x in values)
+    window = sorted(x for x in values if -h <= x <= h)
     if len(window) < 2:
-        return math.inf
+        return h, math.inf
     gaps = [b - a for a, b in zip(window, window[1:])]
     # the window edges also need coverage from the nearest value inside
-    edge = max(half_range - window[-1], window[0] + half_range)
-    return max(max(gaps), 2 * edge)
+    edge = max(h - window[-1], window[0] + h)
+    return h, lam * max(max(gaps), 2 * edge) / (2 * h)
 
 
 @lru_cache(maxsize=None)
@@ -308,12 +327,10 @@ def _decomposition_profile(flat: tuple[int, int, int, int]) -> _Profile:
     comp_minus = (-ex[1] / det, ex[0] / det)
     lam = abs(lam_big)
     for box_bound in range(2, 9):
+        side = range(-box_bound, box_bound + 1)
         members = frozenset(
-            (x, y)
-            for x in range(-box_bound, box_bound + 1)
-            for y in range(-box_bound, box_bound + 1)
-            if (x, y) != (0, 0)
-            and membership_commutator_subgroup(A, (x, y)) is not None)
+            b for b in itertools.product(side, side) if b != (0, 0)
+            and membership_commutator_subgroup(A, b) is not None)
         if not members:
             continue
         # A^k b = A^(k+1) (A^-1 b), so box vectors that are matrix images of
@@ -325,14 +342,8 @@ def _decomposition_profile(flat: tuple[int, int, int, int]) -> _Profile:
             b for b in members if A.apply(b, 1) not in members))
         if not members_plus or not members_minus:
             continue
-        plus_vals = [_component(comp_plus, b) for b in members_plus]
-        minus_vals = [_component(comp_minus, b) for b in members_minus]
-        h_plus = 0.999 * max(abs(v) for v in plus_vals)
-        h_minus = 0.999 * max(abs(v) for v in minus_vals)
-        gap_plus = _max_gap(plus_vals, h_plus)
-        gap_minus = _max_gap(minus_vals, h_minus)
-        c_plus = lam * gap_plus / (2 * h_plus)
-        c_minus = lam * gap_minus / (2 * h_minus)
+        h_plus, c_plus = _contraction(comp_plus, members_plus, lam)
+        h_minus, c_minus = _contraction(comp_minus, members_minus, lam)
         if c_plus < 0.98 and c_minus < 0.98:
             contraction = max(c_plus, c_minus, 0.05)
             constants = {
@@ -371,7 +382,7 @@ def _least_power(coeffs, r: Vec, lam: float, half_range: float) -> int:
     plain float loop's.
     """
     shift = max(0, _sup(r).bit_length() - _STEER_BITS)
-    scaled = abs(_component(coeffs, (r[0] >> shift, r[1] >> shift)))
+    scaled = abs(coeffs[0] * (r[0] >> shift) + coeffs[1] * (r[1] >> shift))
     k = 0
     while shift and scaled:
         step = min(shift, max(0, _STEER_BITS - math.frexp(scaled)[1]))
@@ -388,19 +399,20 @@ def _least_power(coeffs, r: Vec, lam: float, half_range: float) -> int:
 
 def _best_piece(A: AnosovMatrix, members: tuple, r: Vec, k: int
                 ) -> tuple[Optional[Vec], Vec, Vec]:
-    """Box vector whose k-th matrix image best cancels r, with that image
-    and the remainder."""
+    """``(b, A^k b, rem)`` for the least ``(sup(rem), rem, b)`` over the box
+    and the zero vector (b None); ``A^k`` is invertible, so rem decides a tie
+    on the sup, and a first entry of rem past the best sup rules b out."""
     m0, m1, m2, m3 = _matrix_power(A.flat, k)
-    best_key = None
-    best = (None, (0, 0), r)
-    for b in members + ((0, 0),):
-        image = (m0 * b[0] + m1 * b[1], m2 * b[0] + m3 * b[1])
-        rem = (r[0] - image[0], r[1] - image[1])
-        key = (_sup(rem), rem, b)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (b if b != (0, 0) else None, image, rem)
-    return best
+    r0, r1 = r
+    best_sup, best_rem, best_b = _sup(r), r, None
+    for b0, b1 in members:
+        e0 = r0 - m0 * b0 - m1 * b1
+        if -best_sup <= e0 <= best_sup:
+            e1 = r1 - m2 * b0 - m3 * b1
+            sup = max(abs(e0), abs(e1))
+            if sup < best_sup or sup == best_sup and (e0, e1) < best_rem:
+                best_sup, best_rem, best_b = sup, (e0, e1), (b0, b1)
+    return best_b, (r0 - best_rem[0], r1 - best_rem[1]), best_rem
 
 
 def recursive_log_decomposition(A: AnosovMatrix, a: Vec
@@ -443,16 +455,14 @@ def recursive_log_decomposition(A: AnosovMatrix, a: Vec
             break
         r_in = r
         pieces = []
-        k1 = _least_power(prof.comp_plus, r, lam, h_plus)
-        b1, image, r = _best_piece(A, prof.members_plus, r, k1)
-        if b1 is not None:
-            pieces.append((k1, b1))
-            factors.append(_fiber_factor(A, image))
-        k2 = _least_power(prof.comp_minus, r, lam, h_minus)
-        b2, image, r = _best_piece(A, prof.members_minus, r, -k2)
-        if b2 is not None:
-            pieces.append((-k2, b2))
-            factors.append(_fiber_factor(A, image))
+        for coeffs, half_range, members, sign in (
+                (prof.comp_plus, h_plus, prof.members_plus, 1),
+                (prof.comp_minus, h_minus, prof.members_minus, -1)):
+            k = sign * _least_power(coeffs, r, lam, half_range)
+            b, image, r = _best_piece(A, members, r, k)
+            if b is not None:
+                pieces.append((k, b))
+                factors.append(_fiber_factor(A, image))
         if _sup(r) >= _sup(r_in):
             raise SoundnessError(
                 f"certified contraction failed at {r_in} -> {r} for {A}; "

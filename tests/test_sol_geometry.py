@@ -474,3 +474,152 @@ class TestBestPieceReference:
         monkeypatch.setattr(sol_geometry, "_best_piece", reference_best_piece)
         assert outcomes() == hoisted
         assert sum(isinstance(o, tuple) for o in hoisted) >= len(corpus) // 2
+
+
+def written_out_power(A: AnosovMatrix, k: int) -> tuple:
+    """A^k as |k| products of A, or of its adjugate for k < 0."""
+    step = A.flat if k >= 0 else (A.d, -A.b, -A.c, A.a)
+    p = (1, 0, 0, 1)
+    for _ in range(abs(k)):
+        p = (p[0] * step[0] + p[1] * step[2], p[0] * step[1] + p[1] * step[3],
+             p[2] * step[0] + p[3] * step[2], p[2] * step[1] + p[3] * step[3])
+    return p
+
+
+def written_out_mul(A: AnosovMatrix, x, y) -> tuple:
+    """(u, m)(v, n) = (u + A^m v, m + n) on (v0, v1, t) triples."""
+    p = written_out_power(A, x[2])
+    return (x[0] + p[0] * y[0] + p[1] * y[1],
+            x[1] + p[2] * y[0] + p[3] * y[1], x[2] + y[2])
+
+
+def written_out_inverse(A: AnosovMatrix, x) -> tuple:
+    """(u, m)^-1 = (-A^-m u, -m)."""
+    p = written_out_power(A, -x[2])
+    return (-(p[0] * x[0] + p[1] * x[1]), -(p[2] * x[0] + p[3] * x[1]), -x[2])
+
+
+def closed_form_commutator(A: AnosovMatrix, x, y) -> tuple:
+    """[(u, m), (v, n)] = ((I - A^n) u + (A^m - I) v, 0)."""
+    pn, pm = written_out_power(A, y[2]), written_out_power(A, x[2])
+    u, v = x[:2], y[:2]
+    return (u[0] - pn[0] * u[0] - pn[1] * u[1] + pm[0] * v[0] + pm[1] * v[1]
+            - v[0],
+            u[1] - pn[2] * u[0] - pn[3] * u[1] + pm[2] * v[0] + pm[3] * v[1]
+            - v[1], 0)
+
+
+class TestTripleKernel:
+    """The exact group law on (v0, v1, t) triples, which the SolElement
+    functions and certificate verification share, against the law written
+    out here, with t in [-6, 6] on both sides."""
+
+    @staticmethod
+    def pairs(rng: random.Random):
+        for tx, ty in itertools.product(range(-6, 7), repeat=2):
+            size = 10 ** rng.choice((1, 2, 30))
+            yield ((rng.randint(-size, size), rng.randint(-size, size), tx),
+                   (rng.randint(-size, size), rng.randint(-size, size), ty))
+
+    def test_closed_form_is_the_written_out_product(self):
+        rng = random.Random(11)
+        for A in REFERENCE_MATRICES[:4]:
+            for x, y in self.pairs(rng):
+                xy = written_out_mul(A, x, y)
+                inverses = written_out_mul(A, written_out_inverse(A, x),
+                                           written_out_inverse(A, y))
+                assert written_out_mul(A, xy, inverses) \
+                    == closed_form_commutator(A, x, y)
+
+    def test_kernel_matches_written_out_law(self):
+        rng = random.Random(20261019)
+        for A in REFERENCE_MATRICES:
+            m = A.flat
+            for x, y in self.pairs(rng):
+                assert sol_geometry._mul(m, x, y) == written_out_mul(A, x, y)
+                assert sol_geometry._inv(m, x) == written_out_inverse(A, x)
+                assert sol_geometry._comm(m, x, y) \
+                    == closed_form_commutator(A, x, y)
+
+    def test_element_functions_match_written_out_law(self):
+        rng = random.Random(12)
+
+        def element(triple):
+            return SolElement(triple[:2], triple[2])
+
+        for A in REFERENCE_MATRICES:
+            for x, y in self.pairs(rng):
+                ex, ey = element(x), element(y)
+                assert sol_mul(A, ex, ey) == element(written_out_mul(A, x, y))
+                assert sol_inverse(A, ex) == element(written_out_inverse(A, x))
+                assert sol_commutator(A, ex, ey) \
+                    == element(closed_form_commutator(A, x, y))
+
+
+class TestIntegerSolve:
+    def test_agrees_with_rational_witness(self):
+        # det(A - I) = 2 - trace takes both signs over the corpus, and each
+        # sign meets members and non-members
+        rng = random.Random(13)
+        seen = set()
+        for A in REFERENCE_MATRICES:
+            for digits in (1, 2, 6, 40):
+                size = 10 ** digits
+                u = (rng.randint(-size, size), rng.randint(-size, size))
+                member = image_vector(A, u)
+                for a in (member, (member[0] + 1, member[1]),
+                          (rng.randint(-size, size), rng.randint(-size, size)),
+                          (0, 0)):
+                    w0, w1 = membership_witness_rational(A, a)
+                    got = membership_commutator_subgroup(A, a)
+                    integral = w0.denominator == 1 and w1.denominator == 1
+                    assert got == ((w0, w1) if integral else None)
+                    seen.add((2 - A.trace > 0, integral))
+        assert seen == {(True, True), (True, False),
+                        (False, True), (False, False)}
+
+
+class TestVerificationRejectsTampering:
+    """A multi-level decomposition whose factors are altered no longer
+    multiplies out to its target."""
+
+    @staticmethod
+    def expression() -> SolCommutatorExpression:
+        a = image_vector(FIB_MATRIX, (fib(60), -fib(45)))
+        out = recursive_log_decomposition(FIB_MATRIX, a)
+        assert len(out.trace.levels) >= 3
+        return out.expression
+
+    @staticmethod
+    def rebuilt(expr, i, factor) -> SolCommutatorExpression:
+        factors = expr.factors[:i] + (factor,) + expr.factors[i + 1:]
+        return SolCommutatorExpression(expr.matrix, factors, expr.target)
+
+    def test_changed_entry_is_refused(self):
+        expr = self.expression()
+        i = len(expr.factors) // 2
+        x, y = expr.factors[i]
+        for factor in ((x, SolElement((y.v[0] + 1, y.v[1]), y.t)),
+                       (x, SolElement((y.v[0], y.v[1] - 1), y.t)),
+                       (SolElement(x.v, x.t + 1), y)):
+            with pytest.raises(CertificateError, match="does not equal"):
+                self.rebuilt(expr, i, factor)
+
+    def test_swapped_pair_is_refused(self):
+        # [y, x] is the inverse of [x, y], which is not the identity
+        expr = self.expression()
+        for i in (0, len(expr.factors) // 2, len(expr.factors) - 1):
+            x, y = expr.factors[i]
+            with pytest.raises(CertificateError, match="does not equal"):
+                self.rebuilt(expr, i, (y, x))
+
+    def test_reordered_factors_still_verify(self):
+        # every commutator lies in the abelian fiber, so exchanging two
+        # factors whose commutators differ keeps the product: verification
+        # compares the product, not the factor list
+        expr = self.expression()
+        factors = list(expr.factors)
+        assert sol_commutator(FIB_MATRIX, *factors[0]) \
+            != sol_commutator(FIB_MATRIX, *factors[-1])
+        factors[0], factors[-1] = factors[-1], factors[0]
+        SolCommutatorExpression(expr.matrix, tuple(factors), expr.target)
