@@ -24,130 +24,30 @@ The CLI (``python -m scl_lab`` or the ``scl-lab`` script) exposes the same
 operations as JSON-line records.
 """
 
-from scl_lab.errors import (
-    AuditError,
-    CertificateError,
-    SclLabError,
-    SearchBudgetError,
-    SolProfileError,
-    SoundnessError,
+from scl_lab import (
+    errors,
+    free_words,
+    hyperbolic_estimates,
+    quasimorphisms,
+    scl_engine,
+    sol_geometry,
 )
-from scl_lab.free_words import (
-    CyclicWord,
-    RankMismatchError,
-    ReducedWord,
-    WordError,
-    WordSyntaxError,
-    abelianization,
-    commutator,
-    concat,
-    conjugate,
-    count_disjoint_copies,
-    count_disjoint_copies_cyclic,
-    cyclically_reduce,
-    enumerate_reduced_words,
-    invert,
-    parse_word,
-    power,
-)
-from scl_lab.hyperbolic_estimates import (
-    AuditReport,
-    CuspShape,
-    GapParams,
-    OptimalEpsilon,
-    SurfaceData,
-    SurgeryCoeffs,
-    TubeParams,
-    genus_bound_from_meridian,
-    hk_min_core_length,
-    ideal_triangle_area,
-    length_gap_bound,
-    nz_core_length,
-    nz_quadratic_form,
-    optimal_epsilon,
-    reznikov_min_tube_radius,
-    scl_lower_from_tube,
-    scl_upper_from_surgery,
-    spectral_gap_constants,
-    surgery_bound_audit,
-    surgery_length_bound,
-    tube_area,
-    tube_qm_value,
-)
-from scl_lab.quasimorphisms import (
-    CircleLift,
-    DefectScan,
-    QuasimorphismHandle,
-    RotationEstimate,
-    brooks,
-    brooks_homogeneous,
-    compose,
-    defect_observed,
-    homogenize_estimate,
-    invert_lift,
-    lift_from_matrix,
-    rotation_number,
-    symmetrize,
-)
-from scl_lab.scl_engine import (
-    CommutatorCertificate,
-    NotInCommutatorSubgroupError,
-    SclReport,
-    cl_lower,
-    cl_upper,
-    scl_lower_bavard,
-    scl_report,
-    scl_upper_from_power,
-)
-from scl_lab.sol_geometry import (
-    AnosovMatrix,
-    SolCommutatorExpression,
-    SolElement,
-    SolError,
-    commutator_certificate,
-    membership_commutator_subgroup,
-    membership_witness_rational,
-    recursive_log_decomposition,
-    sol_commutator,
-    sol_conjugate,
-    sol_inverse,
-    sol_mul,
-    sol_power,
-)
+from scl_lab.errors import *  # noqa: F401,F403
+from scl_lab.free_words import *  # noqa: F401,F403
+from scl_lab.hyperbolic_estimates import *  # noqa: F401,F403
+from scl_lab.quasimorphisms import *  # noqa: F401,F403
+from scl_lab.scl_engine import *  # noqa: F401,F403
+from scl_lab.sol_geometry import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# the package exports exactly the names each layer module exports
 __all__ = [
     "__version__",
-    # errors that are not about invalid input
-    "SclLabError", "SoundnessError", "CertificateError", "AuditError",
-    "SearchBudgetError", "SolProfileError",
-    # words
-    "CyclicWord", "RankMismatchError", "ReducedWord", "WordError", "WordSyntaxError", "abelianization", "commutator", "concat",
-    "conjugate", "count_disjoint_copies", "count_disjoint_copies_cyclic",
-    "cyclically_reduce", "enumerate_reduced_words", "invert", "parse_word",
-    "power",
-    # quasimorphisms
-    "CircleLift", "DefectScan",
-    "QuasimorphismHandle", "RotationEstimate", "brooks", "brooks_homogeneous",
-    "compose", "defect_observed", "homogenize_estimate", "invert_lift",
-    "lift_from_matrix", "rotation_number", "symmetrize",
-    # scl bounds
-    "CommutatorCertificate", "NotInCommutatorSubgroupError", "SclReport",
-    "cl_lower", "cl_upper",
-    "scl_lower_bavard", "scl_report", "scl_upper_from_power",
-    # hyperbolic estimates
-    "AuditReport", "CuspShape", "GapParams", "OptimalEpsilon",
-    "SurfaceData", "SurgeryCoeffs", "TubeParams", "genus_bound_from_meridian",
-    "hk_min_core_length", "ideal_triangle_area", "length_gap_bound",
-    "nz_core_length", "nz_quadratic_form", "optimal_epsilon",
-    "reznikov_min_tube_radius", "scl_lower_from_tube",
-    "scl_upper_from_surgery", "spectral_gap_constants", "surgery_bound_audit",
-    "surgery_length_bound", "tube_area", "tube_qm_value",
-    # Sol lattices
-    "AnosovMatrix", "SolCommutatorExpression", "SolElement", "SolError",
-    "commutator_certificate",
-    "membership_commutator_subgroup", "membership_witness_rational",
-    "recursive_log_decomposition", "sol_commutator", "sol_conjugate",
-    "sol_inverse", "sol_mul", "sol_power",
+    *errors.__all__,
+    *free_words.__all__,
+    *quasimorphisms.__all__,
+    *scl_engine.__all__,
+    *hyperbolic_estimates.__all__,
+    *sol_geometry.__all__,
 ]

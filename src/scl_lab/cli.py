@@ -12,8 +12,8 @@ raised; every other ``ValueError``, and any ``OverflowError`` or
 
 Every setting is a flag of the commands that read it: the search budgets
 belong to ``scl`` and ``cl`` (defaults from ``scl_engine``), ``--seed`` to
-``defect`` and ``audit``, and ``--config``, a file of Margulis constants,
-to ``gap``; ``--table`` is on every command.
+``defect`` and ``audit``, and ``--margulis``, the ambient Margulis
+constant, to ``gap``; ``--table`` is on every command.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import AuditError, SclLabError
+from .errors import AuditError, SclLabError, SearchBudgetError
 from .free_words import (
     ReducedWord,
     abelianization,
@@ -56,6 +56,7 @@ from .hyperbolic_estimates import (
     tube_qm_value,
 )
 from .quasimorphisms import (
+    BROOKS_DEFECT,
     brooks,
     brooks_homogeneous,
     defect_observed,
@@ -273,7 +274,8 @@ def _cmd_scl(args):
     inputs = {"word": args.word, "rank": args.rank, "n_max": args.n_max,
               "max_len": args.max_len, "max_genus": args.max_genus,
               "pair_budget": args.pair_budget}
-    code = 3 if report.status == "inconclusive" else 0
+    code = (SearchBudgetError.exit_code if report.status == "inconclusive"
+            else 0)
     return [_record("scl", inputs, result, certificates, report.flags)], code
 
 
@@ -294,7 +296,7 @@ def _cmd_cl(args):
     if cert is None:
         result["upper"] = None
         flags.append("budget-exhausted")
-        code = 3
+        code = SearchBudgetError.exit_code
     else:
         result["upper"] = cert.genus
         certificates = {"pairs": [[str(u), str(v)] for u, v in cert.pairs]}
@@ -376,55 +378,7 @@ def _cmd_nz(args):
     return [_record("nz", inputs, result, flags=["approximate"])], 0
 
 
-# placeholder, non-normative: a frequently quoted working value for the
-# 3-dimensional Margulis constant, supplied only so the gap calculator has
-# something to check against by default; override via --config for real use
-DEFAULT_MARGULIS_CONSTANTS = {3: 0.29}
-
-
-def _margulis_constants(path: Optional[str]) -> dict[int, float]:
-    """Read ``{"margulis_constants": {"<dim>": value}}`` from a JSON file;
-    a file without the key, or no file, gives the shipped default."""
-    if path is None:
-        return DEFAULT_MARGULIS_CONSTANTS
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must be a JSON object")
-    known = {"margulis_constants"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(
-            f"unknown config keys {sorted(unknown)}; known keys are {sorted(known)}")
-    if "margulis_constants" not in raw:
-        return DEFAULT_MARGULIS_CONSTANTS
-    table = raw["margulis_constants"]
-    if not isinstance(table, dict):
-        raise ValueError("margulis_constants must be an object of dimension: value")
-    parsed = {}
-    for key, value in table.items():
-        try:
-            dim = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"margulis dimension {key!r} is not an integer") from None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"margulis constant for n={dim} must be a number")
-        parsed[dim] = float(value)
-    for dim, eps in parsed.items():
-        if dim < 2:
-            raise ValueError(f"margulis dimension must be an integer >= 2, got {dim!r}")
-        if not eps > 0:
-            raise ValueError(f"margulis constant for n={dim} must be positive, got {eps}")
-    return parsed
-
-
 def _cmd_gap(args):
-    constants = _margulis_constants(args.config)
     if args.optimal:
         if args.cap is None:
             raise ValueError("--optimal needs --cap")
@@ -435,18 +389,17 @@ def _cmd_gap(args):
         return [_record("gap", inputs, result)], 0
     if args.m is None or args.genus is None or args.epsilon is None:
         raise ValueError("gap needs --m, --genus and --epsilon (or --optimal)")
-    margulis = constants.get(args.dim)
-    params = GapParams(args.m, args.genus, args.epsilon, margulis)
+    params = GapParams(args.m, args.genus, args.epsilon, args.margulis)
     value = length_gap_bound(params, args.variant)
     result = {"length_gap": _real(value), "variant": args.variant}
     flags = []
-    if margulis is None:
+    if args.margulis is None:
         flags.append("margulis-unchecked")
     else:
-        result["margulis_constant"] = _real(margulis)
+        result["margulis_constant"] = _real(args.margulis)
     inputs = {"m": args.m, "genus": args.genus,
               "epsilon": _real(args.epsilon), "variant": args.variant,
-              "dim": args.dim}
+              "margulis": result.get("margulis_constant")}
     return [_record("gap", inputs, result, flags=flags)], 0
 
 
@@ -572,7 +525,7 @@ def _audit_checks(args):
             scan = defect_observed(handle, 3, seed=args.seed)
             worst = max(worst, scan.observed)
         return {"length_budget": 3, "observed_max": int(worst),
-                "certificate": 3}
+                "certificate": BROOKS_DEFECT}
 
     def counting_check():
         patterns = [p for p in enumerate_reduced_words(2, 3, min_len=2)]
@@ -607,7 +560,7 @@ def _cmd_audit(args):
             failed = True
             result = {"check": name, "passed": False, "reason": str(exc)}
         records.append(_record("audit", inputs, result))
-    return records, (1 if failed else 0)
+    return records, (AuditError.exit_code if failed else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -714,20 +667,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_nz)
 
     p = sub.add_parser("gap", parents=[common],
-                       help="length gap bound or its optimal thin-part scale")
+                       help="length gap bound, checked against a supplied "
+                            "Margulis constant, or its optimal thin-part "
+                            "scale")
     p.add_argument("--m", type=int)
     p.add_argument("--genus", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--variant", choices=("universal", "closed"),
                    default="universal")
-    p.add_argument("--dim", type=int,
-                   help="check 4*epsilon against the configured Margulis "
-                        "constant for this dimension")
+    p.add_argument("--margulis", type=float, metavar="X",
+                   help="ambient Margulis constant that 4*epsilon must not "
+                        "exceed; none ships with the package, and without "
+                        "it the record is flagged margulis-unchecked")
     p.add_argument("--optimal", action="store_true")
     p.add_argument("--cap", type=float)
-    p.add_argument("--config", metavar="PATH",
-                   help='JSON file {"margulis_constants": {"<dim>": value}} '
-                        "replacing the shipped placeholder {3: 0.29}")
     p.set_defaults(handler=_cmd_gap)
 
     p = sub.add_parser("sol",

@@ -90,7 +90,7 @@ class CuspShape:
 
     def __post_init__(self):
         area = abs((self.meridian.conjugate() * self.longitude).imag)
-        if abs(area - 1.0) > AREA_TOL:
+        if not abs(area - 1.0) <= AREA_TOL:
             raise ValueError(
                 f"cusp area {area!r} is not normalized to 1 within {AREA_TOL}")
 
@@ -139,7 +139,8 @@ class GapParams:
     ``m`` is the boundary wrapping number, ``g`` the surface genus and
     ``epsilon`` the chosen thin-part scale.  ``margulis_n`` is the ambient
     Margulis constant; it is user-supplied because no normative value ships
-    with this package.  When present it must dominate ``4 epsilon``.
+    with this package.  When present it must be positive and dominate
+    ``4 epsilon``.
     """
 
     m: int
@@ -154,7 +155,12 @@ class GapParams:
             raise ValueError(f"g must be >= 1, got {self.g}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.margulis_n is not None and 4 * self.epsilon > self.margulis_n:
+        if self.margulis_n is None:
+            return
+        if not self.margulis_n > 0:
+            raise ValueError(
+                f"Margulis constant must be > 0, got {self.margulis_n}")
+        if 4 * self.epsilon > self.margulis_n:
             raise ValueError(
                 f"4*epsilon = {4 * self.epsilon} exceeds the supplied "
                 f"Margulis constant {self.margulis_n}")
@@ -168,7 +174,7 @@ def ideal_triangle_area(alpha: float, beta: float, gamma: float) -> float:
 
     Angles are in radians; the ideal triangle (all zero) attains pi.
     """
-    if alpha < 0 or beta < 0 or gamma < 0:
+    if not (alpha >= 0 and beta >= 0 and gamma >= 0):
         raise ValueError("angles must be nonnegative")
     s = alpha + beta + gamma
     if s >= math.pi:
@@ -235,7 +241,7 @@ def surgery_length_bound(s: SurfaceData, radius: float, p: int) -> float:
     ``(3.993 pi |chi_q| (T + 1) / (T p))**2``, valid for tube radius
     T >= 2.
     """
-    if radius < 2:
+    if not radius >= 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")

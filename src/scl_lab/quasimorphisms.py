@@ -196,16 +196,19 @@ class DefectScan(NamedTuple):
     pairs_checked: int
 
 
+#: Largest pair count ``defect_observed`` scans exhaustively.
+_EXHAUSTIVE_PAIRS = 10_000_000
+
+
 def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
-                    pairs_threshold: int = 10_000_000,
                     samples: int = 200_000, seed: int = 0) -> DefectScan:
     """Largest defect ``|f(ab) - f(a) - f(b)|`` seen over words up to
     ``max_len``.
 
-    Scans every pair when the pair count stays within ``pairs_threshold``,
-    otherwise a seeded random sample.  Raises AuditError if an
-    observation beats the handle's certified bound, since that means the
-    certificate (or the evaluator) is wrong.
+    Scans every pair when the pair count stays within ten million (at rank
+    2, words up to length 6), otherwise a seeded random sample.  Raises
+    AuditError if an observation beats the handle's certified bound, since
+    that means the certificate (or the evaluator) is wrong.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -213,7 +216,7 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
     n = _count_up_to(rank, max_len)
     best: Value = 0
     evaluate = handle.evaluate
-    if n * n <= pairs_threshold:
+    if n * n <= _EXHAUSTIVE_PAIRS:
         mode = "exhaustive"
         pairs = n * n
         words = list(enumerate_reduced_words(rank, max_len))
@@ -323,7 +326,7 @@ def lift_from_matrix(matrix: Sequence, branch: int = 0) -> CircleLift:
     """
     m = _flatten_matrix(matrix)
     det = m[0] * m[3] - m[1] * m[2]
-    if abs(det - 1.0) > DET_TOL:
+    if not abs(det - 1.0) <= DET_TOL:
         raise ValueError(f"matrix determinant {det!r} is not 1 within {DET_TOL}")
     probe = CircleLift(m, 0.0)
     return CircleLift(m, probe.principal(0.0) + branch)

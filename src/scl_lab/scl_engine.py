@@ -521,13 +521,13 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
     return best, witness
 
 
-def cl_lower(a: ReducedWord,
-             dictionary: Optional[tuple[ReducedWord, ...]] = None) -> int:
+def cl_lower(a: ReducedWord) -> int:
     """Certified lower bound for commutator length.
 
     A homogeneous quasimorphism f with defect D forces
     ``cl(a) >= f(a) / (2 D) + 1/2``; the bound below adds 1/2 to the
-    Bavard bound of ``scl_lower_bavard`` over the dictionary and rounds up.
+    Bavard bound of ``scl_lower_bavard`` over the default dictionary and
+    rounds up.
     The identity gives 0 and any other word at least 1.
     """
     if a.is_identity():
@@ -536,7 +536,7 @@ def cl_lower(a: ReducedWord,
     if any(vec):
         raise NotInCommutatorSubgroupError(
             f"{a} has nonzero abelianization {vec}")
-    lower, _ = scl_lower_bavard(a, dictionary)
+    lower, _ = scl_lower_bavard(a)
     return max(1, math.ceil(lower + Fraction(1, 2)))
 
 
@@ -595,16 +595,15 @@ _DUNCAN_HOWIE_FLOOR = Fraction(1, 2)
 def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
                max_genus: int = DEFAULT_MAX_GENUS,
                max_len: int = DEFAULT_MAX_LEN,
-               pair_budget: int = DEFAULT_PAIR_BUDGET,
-               dictionary: Optional[tuple[ReducedWord, ...]] = None
-               ) -> SclReport:
+               pair_budget: int = DEFAULT_PAIR_BUDGET) -> SclReport:
     """Two-sided certified scl bounds for one word.
 
-    The lower bound scans a counting-pattern dictionary through Bavard
-    duality.  The upper bound searches powers ``a^n`` for commutator
-    certificates, converting genus g at power n into ``(2g - 1) / (2n)``;
-    the loop stops as soon as the bound 1/2 is reached, which no nontrivial
-    word can beat.  Soundness tripwires raise instead of returning nonsense.
+    The lower bound scans the default counting-pattern dictionary of the
+    cyclic core through Bavard duality.  The upper bound searches powers
+    ``a^n`` for commutator certificates, converting genus g at power n into
+    ``(2g - 1) / (2n)``; the loop stops as soon as the bound 1/2 is reached,
+    which no nontrivial word can beat.  Soundness tripwires raise instead of
+    returning nonsense.
     """
     if a.is_identity():
         return SclReport(
@@ -617,8 +616,7 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     core, _ = cyclically_reduce(a)
-    if dictionary is None:
-        dictionary = default_brooks_dictionary(core)
+    dictionary = default_brooks_dictionary(core)
     lower, witness = scl_lower_bavard(core, dictionary)
     flags: list[str] = []
     if lower >= HOMOLOGICAL_MARGULIS_CONSTANT:
@@ -630,10 +628,6 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
     best_cert: Optional[CommutatorCertificate] = None
     budget_hit = False
     for n in range(1, n_max + 1):
-        # genus >= 1 for a nontrivial power, so power n cannot possibly
-        # improve on a bound at or below 1/(2n)
-        if best_upper is not None and Fraction(1, 2 * n) >= best_upper:
-            continue
         try:
             cert = cl_upper(power(a, n), max_genus=max_genus,
                             max_len=max_len, pair_budget=pair_budget)

@@ -115,10 +115,12 @@ class SolElement:
     t: int
 
     def __post_init__(self):
-        v = tuple(int(x) for x in self.v)
-        if len(v) != 2:
-            raise SolError(f"fiber vector must have 2 entries, got {len(v)}")
-        object.__setattr__(self, "v", v)
+        try:
+            v0, v1 = self.v
+        except ValueError:
+            raise SolError(f"fiber vector must have 2 entries, "
+                           f"got {len(self.v)}") from None
+        object.__setattr__(self, "v", (int(v0), int(v1)))
         object.__setattr__(self, "t", int(self.t))
 
 

@@ -1,4 +1,4 @@
-"""CLI tests: golden records, exit codes, config and output modes."""
+"""CLI tests: golden records, exit codes, settings and output modes."""
 
 import argparse
 import json
@@ -159,7 +159,7 @@ class TestRecordShape:
         (record,) = records_of(captured)
         assert "margulis-unchecked" in record["flags"]
         captured = run_cli(capsys, "gap", "--m", "100", "--genus", "1",
-                           "--epsilon", "0.05", "--dim", "3")
+                           "--epsilon", "0.05", "--margulis", "0.29")
         (record,) = records_of(captured)
         assert record["flags"] == []
         assert record["result"]["margulis_constant"] == 0.29
@@ -453,32 +453,48 @@ class TestInternalErrors:
         assert total == [n, n]
 
 
-class TestConfig:
-    def test_margulis_override(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"margulis_constants": {"4": 0.27}}))
-        captured = run_cli(capsys, "gap", "--m", "100", "--genus", "1",
-                           "--epsilon", "0.05", "--dim", "4",
-                           "--config", str(path))
+GAP = ["gap", "--m", "100", "--genus", "1", "--epsilon", "0.05"]
+
+
+class TestMargulis:
+    """``gap --margulis`` supplies the one constant no default stands in
+    for."""
+
+    def test_valid_value_is_checked_and_recorded(self, capsys):
+        captured = run_cli(capsys, *GAP, "--margulis", "0.29")
         (record,) = records_of(captured)
-        assert record["result"]["margulis_constant"] == 0.27
+        assert record["inputs"] == {"m": 100, "genus": 1, "epsilon": 0.05,
+                                    "variant": "universal", "margulis": 0.29}
+        assert record["result"]["margulis_constant"] == 0.29
+        assert record["flags"] == []
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        self.check_rejected(capsys, tmp_path, "maxlen")
+    def test_absent_value_is_unchecked(self, capsys):
+        (record,) = records_of(run_cli(capsys, *GAP))
+        assert record["inputs"]["margulis"] is None
+        assert "margulis_constant" not in record["result"]
+        assert record["flags"] == ["margulis-unchecked"]
 
-    def test_budget_key_rejected(self, capsys, tmp_path):
-        # the search budgets are flags of scl and cl, not config keys
-        self.check_rejected(capsys, tmp_path, "max_len")
-
-    @staticmethod
-    def check_rejected(capsys, tmp_path, key):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({key: 5}))
-        code = main(["gap", "--optimal", "--cap", "1", "--config", str(path)])
+    @pytest.mark.parametrize("value,reason", [
+        ("0", "Margulis constant must be > 0, got 0.0"),
+        ("-0.29", "Margulis constant must be > 0, got -0.29"),
+        ("nan", "Margulis constant must be > 0, got nan"),
+        ("0.1", "4*epsilon = 0.2 exceeds the supplied Margulis constant 0.1"),
+    ])
+    def test_invalid_value_is_invalid_input(self, capsys, value, reason):
+        code = main(GAP + ["--margulis", value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert key in captured.err
+        assert captured.err == f"scl-lab: error: {reason}\n"
+
+    @pytest.mark.parametrize("option", [["--dim", "3"],
+                                        ["--config", "x.json"]])
+    def test_removed_options_are_rejected(self, capsys, option):
+        code = main(GAP + option)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 #: float calculator inputs whose arithmetic overflows, divides by zero or
@@ -501,6 +517,20 @@ def test_float_failure_is_invalid_input(capsys, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("scl-lab: error: ")
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("nz", "--meridian", "nan,0", "--longitude", "0,1", "--p", "5",
+      "--q", "1"), "cusp area nan is not normalized to 1 within 1e-09"),
+    (("surgery-a", "--chi", "-1", "--radius", "nan", "--p", "3"),
+     "radius must be >= 2, got nan"),
+])
+def test_nan_input_fails_its_validation(capsys, argv, reason):
+    # the calculator's own check names the input, not the JSON writer
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"scl-lab: error: {reason}\n"
 
 
 def test_readme_cli_examples_byte_for_byte(capsys):
@@ -557,11 +587,11 @@ class TestParserShape:
         assert _parses(argv)
         assert _parses(argv + ["--table"])
         assert _parses(argv + ["--seed", "1"]) == (leaf in ("defect", "audit"))
-        assert _parses(argv + ["--config", "x.json"]) == (leaf == "gap")
+        assert _parses(argv + ["--margulis", "0.29"]) == (leaf == "gap")
         capsys.readouterr()
 
     @pytest.mark.parametrize("option", [["--table"], ["--seed", "1"],
-                                        ["--config", "x.json"]])
+                                        ["--margulis", "0.29"]])
     def test_sol_group_takes_no_option(self, capsys, option):
         code = main(["sol", *option, "cert", "--matrix=2,1,1,1",
                      "--vector=1,1"])
@@ -771,15 +801,12 @@ class TestParserReuse:
         assert "{" not in table
         assert code == 0 and json.loads(out)["result"]["verified"] is True
 
-    def test_config_does_not_stick(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"margulis_constants": {"3": 0.25}}))
-        gap = ["gap", "--m", "100", "--genus", "1", "--epsilon", "0.05",
-               "--dim", "3"]
+    def test_margulis_does_not_stick(self, capsys):
         (_, first, _), (_, second, _) = self.check_sequence(
-            capsys, gap + ["--config", str(path)], gap)
+            capsys, GAP + ["--margulis", "0.25"], GAP)
         assert json.loads(first)["result"]["margulis_constant"] == 0.25
-        assert json.loads(second)["result"]["margulis_constant"] == 0.29
+        assert json.loads(second)["inputs"]["margulis"] is None
+        assert json.loads(second)["flags"] == ["margulis-unchecked"]
 
     def test_budget_does_not_stick(self, capsys):
         scl = ["scl", "--word", "[a,b]"]

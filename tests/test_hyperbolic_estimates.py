@@ -54,6 +54,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             CuspShape(0.3, 1j)
 
+    @pytest.mark.parametrize("meridian,longitude", [
+        (complex(math.nan, 0), 1j), (1, complex(0, math.nan)),
+        (complex(0, math.nan), 1j)])
+    def test_cusp_area_nan_rejected(self, meridian, longitude):
+        with pytest.raises(ValueError, match="cusp area nan"):
+            CuspShape(meridian, longitude)
+
     def test_surgery_coeffs_validation(self):
         SurgeryCoeffs(10, 1)
         with pytest.raises(ValueError):
@@ -77,6 +84,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             GapParams(0, 1, 0.3)
 
+    @pytest.mark.parametrize("margulis", [0.0, -0.29, math.nan, -math.inf])
+    def test_gap_params_margulis_must_be_positive(self, margulis):
+        with pytest.raises(ValueError, match="Margulis constant must be > 0"):
+            GapParams(100, 1, 0.05, margulis_n=margulis)
+
 
 class TestTriangle:
     def test_ideal(self):
@@ -90,6 +102,12 @@ class TestTriangle:
             ideal_triangle_area(math.pi / 3, math.pi / 3, math.pi / 3)
         with pytest.raises(ValueError):
             ideal_triangle_area(-0.1, 0, 0)
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0, 0), (0, math.nan, 0),
+                                        (0, 0, math.nan)])
+    def test_nan_angle_rejected(self, angles):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ideal_triangle_area(*angles)
 
 
 class TestTubeFormulas:
@@ -169,9 +187,10 @@ class TestSurgery:
         assert abs(surgery_length_bound(s, 2.5, 40)
                    - 4 * surgery_length_bound(s, 2.5, 80)) < 1e-12
 
-    def test_length_bound_requires_fat_tube(self):
-        with pytest.raises(ValueError):
-            surgery_length_bound(SurfaceData(-1, 1), 1.9, 10)
+    @pytest.mark.parametrize("radius", [1.9, math.nan, -math.inf])
+    def test_length_bound_requires_fat_tube(self, radius):
+        with pytest.raises(ValueError, match="radius must be >= 2"):
+            surgery_length_bound(SurfaceData(-1, 1), radius, 10)
 
 
 class TestAudit:

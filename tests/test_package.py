@@ -1,0 +1,62 @@
+"""The package exports exactly the names its layer modules export."""
+
+import pytest
+
+import scl_lab
+from scl_lab import (
+    errors,
+    free_words,
+    hyperbolic_estimates,
+    quasimorphisms,
+    scl_engine,
+    sol_geometry,
+)
+
+LAYERS = (errors, free_words, quasimorphisms, scl_engine,
+          hyperbolic_estimates, sol_geometry)
+
+#: the 78 names the package listed by hand before its export list was
+#: built from the modules' lists
+HAND_LISTED = [
+    "SclLabError", "SoundnessError", "CertificateError", "AuditError",
+    "SearchBudgetError", "SolProfileError", "CyclicWord", "RankMismatchError",
+    "ReducedWord", "WordError", "WordSyntaxError", "abelianization",
+    "commutator", "concat", "conjugate", "count_disjoint_copies",
+    "count_disjoint_copies_cyclic", "cyclically_reduce",
+    "enumerate_reduced_words", "invert", "parse_word", "power", "CircleLift",
+    "DefectScan", "QuasimorphismHandle", "RotationEstimate", "brooks",
+    "brooks_homogeneous", "compose", "defect_observed", "homogenize_estimate",
+    "invert_lift", "lift_from_matrix", "rotation_number", "symmetrize",
+    "CommutatorCertificate", "NotInCommutatorSubgroupError", "SclReport",
+    "cl_lower", "cl_upper", "scl_lower_bavard", "scl_report",
+    "scl_upper_from_power", "AuditReport", "CuspShape", "GapParams",
+    "OptimalEpsilon", "SurfaceData", "SurgeryCoeffs", "TubeParams",
+    "genus_bound_from_meridian", "hk_min_core_length", "ideal_triangle_area",
+    "length_gap_bound", "nz_core_length", "nz_quadratic_form",
+    "optimal_epsilon", "reznikov_min_tube_radius", "scl_lower_from_tube",
+    "scl_upper_from_surgery", "spectral_gap_constants", "surgery_bound_audit",
+    "surgery_length_bound", "tube_area", "tube_qm_value", "AnosovMatrix",
+    "SolCommutatorExpression", "SolElement", "SolError",
+    "commutator_certificate", "membership_commutator_subgroup",
+    "membership_witness_rational", "recursive_log_decomposition",
+    "sol_commutator", "sol_conjugate", "sol_inverse", "sol_mul", "sol_power",
+]
+
+
+def test_package_list_is_the_module_lists():
+    assert scl_lab.__all__ == ["__version__",
+                               *(name for mod in LAYERS for name in mod.__all__)]
+    assert len(set(scl_lab.__all__)) == len(scl_lab.__all__)
+
+
+@pytest.mark.parametrize("mod", LAYERS, ids=lambda mod: mod.__name__)
+def test_every_listed_name_is_the_module_object(mod):
+    for name in mod.__all__:
+        assert getattr(scl_lab, name) is getattr(mod, name), name
+
+
+def test_hand_listed_names_are_still_exported():
+    assert len(HAND_LISTED) == 78
+    missing = [name for name in HAND_LISTED if name not in scl_lab.__all__]
+    assert missing == []
+

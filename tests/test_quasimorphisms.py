@@ -211,16 +211,18 @@ class TestDefectScan:
         assert 0 < scan.observed <= BROOKS_DEFECT
 
     def test_sampled_mode_is_deterministic(self):
+        # rank 2 has 2 * 3^L - 1 words up to length L; at L = 7 that is
+        # 4,373 words and 19.1M pairs, above the exhaustive limit
         phi = brooks(w("ab"))
-        s1 = defect_observed(phi, 4, pairs_threshold=10, samples=500, seed=42)
-        s2 = defect_observed(phi, 4, pairs_threshold=10, samples=500, seed=42)
+        s1 = defect_observed(phi, 7, samples=500, seed=42)
+        s2 = defect_observed(phi, 7, samples=500, seed=42)
         assert s1 == s2
         assert s1.mode == "sampled"
         assert s1.observed <= BROOKS_DEFECT
 
     @pytest.mark.parametrize("pattern,homogeneous,max_len",
-                             [("ab", False, 4), ("abAB", False, 5),
-                              ("abA", True, 4)])
+                             [("ab", False, 7), ("abAB", False, 8),
+                              ("abA", True, 7)])
     def test_sampled_draws_match_the_listed_words(self, pattern, homogeneous,
                                                   max_len):
         # the scan builds only the drawn words; drawing positions from a
@@ -233,8 +235,7 @@ class TestDefectScan:
             a = words[rng.randrange(len(words))]
             b = words[rng.randrange(len(words))]
             best = max(best, abs(phi(a * b) - phi(a) - phi(b)))
-        scan = defect_observed(phi, max_len, pairs_threshold=0, samples=300,
-                               seed=11)
+        scan = defect_observed(phi, max_len, samples=300, seed=11)
         assert scan == (best, "sampled", 300)
 
     def test_bad_certificate_trips(self):
@@ -286,9 +287,13 @@ class TestCircleLift:
             values = [f.evaluate(i / 40) for i in range(41)]
             assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_rejects_wrong_determinant(self):
-        with pytest.raises(ValueError):
-            lift_from_matrix([[2, 0], [0, 1]])
+    @pytest.mark.parametrize("matrix", [[[2, 0], [0, 1]],
+                                        [math.nan, 0, 0, 1],
+                                        [1, 0, math.nan, 1],
+                                        [math.inf, 0, 0, 1]])
+    def test_rejects_wrong_determinant(self, matrix):
+        with pytest.raises(ValueError, match="determinant"):
+            lift_from_matrix(matrix)
 
     def test_branch_shift(self):
         f0 = lift_from_matrix(rotation_matrix(1 / 3), branch=0)
