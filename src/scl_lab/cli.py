@@ -380,6 +380,13 @@ def _cmd_nz(args):
 
 def _cmd_gap(args):
     if args.optimal:
+        unused = [flag for flag, value in (
+            ("--m", args.m), ("--genus", args.genus),
+            ("--epsilon", args.epsilon), ("--variant", args.variant),
+            ("--margulis", args.margulis)) if value is not None]
+        if unused:
+            raise ValueError(f"--optimal takes only --cap, "
+                             f"not {', '.join(unused)}")
         if args.cap is None:
             raise ValueError("--optimal needs --cap")
         eps = optimal_epsilon(args.cap)
@@ -389,16 +396,19 @@ def _cmd_gap(args):
         return [_record("gap", inputs, result)], 0
     if args.m is None or args.genus is None or args.epsilon is None:
         raise ValueError("gap needs --m, --genus and --epsilon (or --optimal)")
+    if args.cap is not None:
+        raise ValueError("--cap needs --optimal")
+    variant = args.variant or "universal"
     params = GapParams(args.m, args.genus, args.epsilon, args.margulis)
-    value = length_gap_bound(params, args.variant)
-    result = {"length_gap": _real(value), "variant": args.variant}
+    value = length_gap_bound(params, variant)
+    result = {"length_gap": _real(value), "variant": variant}
     flags = []
     if args.margulis is None:
         flags.append("margulis-unchecked")
     else:
         result["margulis_constant"] = _real(args.margulis)
     inputs = {"m": args.m, "genus": args.genus,
-              "epsilon": _real(args.epsilon), "variant": args.variant,
+              "epsilon": _real(args.epsilon), "variant": variant,
               "margulis": result.get("margulis_constant")}
     return [_record("gap", inputs, result, flags=flags)], 0
 
@@ -490,7 +500,7 @@ def _brute_max_disjoint(starts: list[int], length: int) -> int:
 
 
 def _audit_checks(args):
-    grid = ([float(x) for x in args.grid.split(",")] if args.grid
+    grid = ([float(x) for x in args.grid.split(",")] if args.grid is not None
             else [2.0 + 8.0 * i / 1000.0 for i in range(1, 1001)])
 
     def surgery_check():
@@ -674,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--variant", choices=("universal", "closed"),
-                   default="universal")
+                   help="default universal")
     p.add_argument("--margulis", type=float, metavar="X",
                    help="ambient Margulis constant that 4*epsilon must not "
                         "exceed; none ships with the package, and without "

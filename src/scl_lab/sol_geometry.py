@@ -370,33 +370,16 @@ def _sup(v: Vec) -> int:
     return max(abs(v[0]), abs(v[1]))
 
 
-#: floats overflow near 2**1024, so a remainder longer than this many bits
-#: is steered on its leading bits
-_STEER_BITS = 1000
-
-
 def _least_power(coeffs, r: Vec, lam: float, half_range: float) -> int:
-    """Least k with ``|component of r along coeffs| / lam**k <= half_range``.
-
-    Steers in floats on ``r >> s``, for the shift ``s`` that leaves
-    ``_STEER_BITS`` bits, and folds the shift back in while the float has
-    room; below ``2**_STEER_BITS`` the shift is 0 and the steps are the
-    plain float loop's.
-    """
-    shift = max(0, _sup(r).bit_length() - _STEER_BITS)
-    scaled = abs(coeffs[0] * (r[0] >> shift) + coeffs[1] * (r[1] >> shift))
-    k = 0
-    while shift and scaled:
-        step = min(shift, max(0, _STEER_BITS - math.frexp(scaled)[1]))
-        scaled = math.ldexp(scaled, step)
-        shift -= step
-        if shift:
-            scaled /= lam
-            k += 1
-    while scaled > half_range:
-        scaled /= lam
-        k += 1
-    return k
+    """Least k >= 0 with ``|component of r along coeffs| / lam**k <=
+    half_range``, in closed form on the component as one exact integer
+    ``x / (d0 d1)``, so it holds at any size of r."""
+    (n0, d0), (n1, d1) = (c.as_integer_ratio() for c in coeffs)
+    x = abs(n0 * d1 * r[0] + n1 * d0 * r[1])
+    if not x:
+        return 0
+    return max(0, math.ceil((math.log(x) - math.log(d0 * d1)
+                             - math.log(half_range)) / math.log(lam)))
 
 
 def _best_piece(A: AnosovMatrix, members: tuple, r: Vec, k: int

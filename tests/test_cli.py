@@ -1,6 +1,7 @@
 """CLI tests: golden records, exit codes, settings and output modes."""
 
 import argparse
+import hashlib
 import json
 import math
 import shlex
@@ -260,6 +261,13 @@ class TestExitCodes:
         assert code == 2
         assert "1.5" in captured.err
 
+    def test_audit_empty_grid_is_invalid_input(self, capsys):
+        code = main(["audit", "--grid", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+
     def test_bad_matrix(self, capsys):
         code = main(["sol", "cert", "--matrix", "2,1,1", "--vector", "1,1"])
         assert code == 2
@@ -428,8 +436,16 @@ class TestInternalErrors:
         self.check_large_member(capsys, 10 ** 80)
 
     def test_sol_decompose_past_float_range(self, capsys):
-        # the float steering does not overflow past 1e308
+        # the steering does not overflow past 1e308
         self.check_large_member(capsys, 10 ** 320)
+
+    def test_sol_decompose_past_old_fold_back(self, capsys):
+        # 6,644 bits, far past a float's range; the SHA-256 pins the record
+        n = 10 ** 2000
+        captured = run_cli(capsys, "sol", "decompose", "--matrix=2,1,1,1",
+                           f"--vector={n},{n}")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "1cbef44341723dcc5cbd259e4f59bbd0a8d60cc4b3e03fd766f0b7d1af7372f9")
 
     @staticmethod
     def check_large_member(capsys, n):
@@ -495,6 +511,38 @@ class TestMargulis:
         assert code == 2
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+class TestGapModes:
+    """``gap --optimal`` reads only ``--cap``, and only it reads ``--cap``."""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--optimal", "--cap", "1", "--margulis", "-1", "--m", "0"],
+         "--optimal takes only --cap, not --m, --margulis"),
+        (["--optimal", "--cap", "1", "--genus", "1"],
+         "--optimal takes only --cap, not --genus"),
+        (["--optimal", "--cap", "1", "--epsilon", "0.05"],
+         "--optimal takes only --cap, not --epsilon"),
+        (["--optimal", "--cap", "1", "--margulis", "0.29"],
+         "--optimal takes only --cap, not --margulis"),
+        (["--optimal", "--cap", "1", "--variant", "universal"],
+         "--optimal takes only --cap, not --variant"),
+        (["--m", "30", "--genus", "1", "--epsilon", "0.1", "--cap", "-5"],
+         "--cap needs --optimal"),
+        (GAP[1:] + ["--cap", "1"], "--cap needs --optimal"),
+    ])
+    def test_unread_flag_is_invalid_input(self, capsys, argv, reason):
+        code = main(["gap"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"scl-lab: error: {reason}\n"
+
+    def test_explicit_default_variant_gives_the_same_record(self, capsys):
+        default = run_cli(capsys, *GAP).out
+        assert run_cli(capsys, *GAP, "--variant", "universal").out == default
+        (record,) = records_of(run_cli(capsys, *GAP, "--variant", "closed"))
+        assert record["inputs"]["variant"] == "closed"
 
 
 #: float calculator inputs whose arithmetic overflows, divides by zero or

@@ -476,6 +476,68 @@ class TestBestPieceReference:
         assert sum(isinstance(o, tuple) for o in hoisted) >= len(corpus) // 2
 
 
+#: the float steering's window: a remainder longer than this many bits was
+#: steered on its leading bits
+_STEER_BITS = 1000
+
+
+def reference_least_power(coeffs, r, lam: float, half_range: float) -> int:
+    """Least k with ``|component of r along coeffs| / lam**k <= half_range``.
+
+    Steers in floats on ``r >> s``, for the shift ``s`` that leaves
+    ``_STEER_BITS`` bits, and folds the shift back in while the float has
+    room; below ``2**_STEER_BITS`` the shift is 0 and the steps are the
+    plain float loop's.
+    """
+    shift = max(0, sol_geometry._sup(r).bit_length() - _STEER_BITS)
+    scaled = abs(coeffs[0] * (r[0] >> shift) + coeffs[1] * (r[1] >> shift))
+    k = 0
+    while shift and scaled:
+        step = min(shift, max(0, _STEER_BITS - math.frexp(scaled)[1]))
+        scaled = math.ldexp(scaled, step)
+        shift -= step
+        if shift:
+            scaled /= lam
+            k += 1
+    while scaled > half_range:
+        scaled /= lam
+        k += 1
+    return k
+
+
+#: every Anosov matrix with entries in [-8, 8]
+ANOSOV_8 = tuple(AnosovMatrix(*m) for m in itertools.product(range(-8, 9),
+                                                               repeat=4)
+                 if m[0] * m[3] - m[1] * m[2] == 1 and abs(m[0] + m[3]) > 2)
+
+
+class TestSteeringReference:
+    """The closed-form power is the one the float steering found."""
+
+    def test_closed_form_matches_float_steering(self):
+        rng = random.Random(20261019)
+        profiles = [sol_geometry._decomposition_profile(A.flat)
+                    for A in ANOSOV_8 if _certifies(A)]
+        assert (len(ANOSOV_8), len(profiles)) == (456, 304)
+        powers = set()
+        for prof in profiles:
+            c = prof.constants
+            lam = c["eigenvalue"]
+            vectors = [(0, 0)]
+            for digits in (1, 2, rng.randint(3, 300), rng.randint(301, 2500)):
+                n = 10 ** digits
+                vectors.append((rng.randint(-n, n), rng.randint(-n, n)))
+            for coeffs, h in (
+                    (prof.comp_plus, c["half_range_expanding"]),
+                    (prof.comp_minus, c["half_range_contracting"])):
+                for r in vectors:
+                    k = sol_geometry._least_power(coeffs, r, lam, h)
+                    assert k == reference_least_power(coeffs, r, lam, h), \
+                        (c, coeffs, r)
+                    powers.add(k)
+        assert 0 in powers and 1 in powers and max(powers) > 2500
+
+
 def written_out_power(A: AnosovMatrix, k: int) -> tuple:
     """A^k as |k| products of A, or of its adjugate for k < 0."""
     step = A.flat if k >= 0 else (A.d, -A.b, -A.c, A.a)
