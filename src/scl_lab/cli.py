@@ -177,6 +177,13 @@ def _parse_float_pair(text: str, label: str) -> complex:
     raise ValueError(f"{label} needs two comma-separated reals, got {text!r}")
 
 
+def _grid_entry(i: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--grid entry {i} {text!r} is not a number") from None
+
+
 def _matrix_arg(args) -> AnosovMatrix:
     return AnosovMatrix(*_parse_int_list(args.matrix, 4, "--matrix"))
 
@@ -500,7 +507,8 @@ def _brute_max_disjoint(starts: list[int], length: int) -> int:
 
 
 def _audit_checks(args):
-    grid = ([float(x) for x in args.grid.split(",")] if args.grid is not None
+    grid = ([_grid_entry(i, x) for i, x in enumerate(args.grid.split(","), 1)]
+            if args.grid is not None
             else [2.0 + 8.0 * i / 1000.0 for i in range(1, 1001)])
 
     def surgery_check():

@@ -442,7 +442,8 @@ def _cyclic_starts(core: tuple[int, ...], k: int) -> dict[tuple[int, ...], list[
     return starts
 
 
-def _cyclic_copy_rate(starts: Sequence[int], k: int, L: int) -> Fraction:
+def _cyclic_copy_rate(starts: Sequence[int], k: int, L: int
+                      ) -> tuple[int, int]:
     """Per-period greedy count of a length-``k`` pattern that occurs in a
     cyclic word of length ``L`` at the ascending positions ``starts``.
 
@@ -450,11 +451,12 @@ def _cyclic_copy_rate(starts: Sequence[int], k: int, L: int) -> Fraction:
     ``a a a ...`` cut at ``n |a|``, and its state after each copy is the
     restart position mod ``|a|``.  That state repeats within ``|a|``
     copies; over the cycle it then follows, ``c`` copies span ``D`` letters,
-    and the limit is exactly ``c |a| / D``.  Each step finds the next
-    occurrence by bisection, so a walk costs one step per restart state.
+    and the limit is exactly ``c |a| / D``, returned as the integer pair
+    ``(c |a|, D)``.  Each step bisects for the next occurrence, so a walk
+    costs one step per restart state.
     """
     if not starts:
-        return Fraction(0)
+        return 0, 1
     seen: dict[int, tuple[int, int]] = {}
     r = copies = span = 0
     while r not in seen:
@@ -466,7 +468,7 @@ def _cyclic_copy_rate(starts: Sequence[int], k: int, L: int) -> Fraction:
         span += step
         r = (r + step) % L
     copies0, span0 = seen[r]
-    return Fraction((copies - copies0) * L, span - span0)
+    return (copies - copies0) * L, span - span0
 
 
 def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
@@ -484,7 +486,7 @@ def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
         raise WordError("cyclic word must be nonempty")
     k = len(w.codes)
     starts = _cyclic_starts(a.codes, k).get(w.codes, ())
-    return _cyclic_copy_rate(starts, k, len(a.codes))
+    return Fraction(*_cyclic_copy_rate(starts, k, len(a.codes)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,9 @@ def _homogeneous_value(starts: dict, codes: tuple[int, ...], L: int
     table ``_cyclic_starts(core, len(codes))`` of a nonempty core of
     length ``L``."""
     k = len(codes)
-    return (_cyclic_copy_rate(starts.get(codes, ()), k, L)
-            - _cyclic_copy_rate(starts.get(_inv(codes), ()), k, L))
+    n1, d1 = _cyclic_copy_rate(starts.get(codes, ()), k, L)
+    n2, d2 = _cyclic_copy_rate(starts.get(_inv(codes), ()), k, L)
+    return Fraction(n1 * d2 - n2 * d1, d1 * d2)
 
 
 def brooks_homogeneous_exact(w: ReducedWord,

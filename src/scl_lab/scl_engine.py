@@ -25,6 +25,7 @@ from .free_words import (
     WordError,
     _codes_up_to,
     _count_up_to,
+    _cyclic_copy_rate,
     _cyclic_split,
     _cyclic_starts,
     _inv,
@@ -38,7 +39,7 @@ from .free_words import (
     power,
     word_sort_key,
 )
-from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT, _homogeneous_value
+from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT
 
 __all__ = [
     "NotInCommutatorSubgroupError",
@@ -490,17 +491,18 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
     the first pattern attaining it (None when every value vanishes).  A
     ``CyclicWord`` is taken as the core of ``a`` already.
 
-    The core's cyclic subwords of each pattern length are tabled with their
-    start positions once, and each pattern's value is read from the table
-    of its length by ``brooks_homogeneous_exact``'s routine, so a scan
-    reads the core once per pattern length, not twice per pattern.
+    Each pattern length's cyclic subwords are tabled once, and each value
+    is the integer pair of two ``_cyclic_copy_rate`` walks, compared by
+    cross-multiplication.  A proper power ``r^m`` is scanned on its root
+    ``r``, since ``fbar(r^m) = m fbar(r)`` scales every value alike.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     if dictionary is None:
         dictionary = default_brooks_dictionary(core)
     L = core.length
+    p = _least_rotation(core.codes)[1] or 1
     tables: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    best = Fraction(0)
+    best_n, best_d = 0, 1
     witness: Optional[ReducedWord] = None
     for pattern in dictionary:
         k = len(pattern.codes)
@@ -512,13 +514,15 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
             raise RankMismatchError(f"rank {pattern.rank} vs rank {core.rank}")
         starts = tables.get(k)
         if starts is None:
-            starts = tables[k] = _cyclic_starts(core.codes, k)
-        value = abs(_homogeneous_value(starts, pattern.codes, L))
-        bound = value / (2 * HOMOGENEOUS_BROOKS_DEFECT)
-        if bound > best:
-            best = bound
+            starts = tables[k] = _cyclic_starts(core.codes[:p], k)
+        n1, d1 = _cyclic_copy_rate(starts.get(pattern.codes, ()), k, p)
+        n2, d2 = _cyclic_copy_rate(starts.get(_inv(pattern.codes), ()), k, p)
+        num, den = abs(n1 * d2 - n2 * d1), d1 * d2
+        if num * best_d > best_n * den:
+            best_n, best_d = num, den
             witness = pattern
-    return best, witness
+    return (Fraction(best_n * (L // p), best_d * 2 * HOMOGENEOUS_BROOKS_DEFECT),
+            witness)
 
 
 def cl_lower(a: ReducedWord) -> int:

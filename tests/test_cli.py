@@ -268,6 +268,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid,message", [
+        ("", "--grid entry 1 '' is not a number"),
+        ("3,,4", "--grid entry 2 '' is not a number"),
+        ("3,x", "--grid entry 2 'x' is not a number")])
+    def test_audit_grid_names_the_bad_entry(self, capsys, grid, message):
+        code = main(["audit", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"scl-lab: error: {message}\n"
+
     def test_bad_matrix(self, capsys):
         code = main(["sol", "cert", "--matrix", "2,1,1", "--vector", "1,1"])
         assert code == 2

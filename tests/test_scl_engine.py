@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scl_lab import scl_engine
@@ -16,11 +16,13 @@ from scl_lab.free_words import (
     WordError,
     _codes_up_to,
     _cyclic_split,
+    _cyclic_starts,
     _inv,
     _least_rotation,
     _reduce,
     _word_key,
     commutator,
+    conjugate,
     cyclically_reduce,
     parse_word,
     power,
@@ -565,6 +567,42 @@ def outcome(scan, *args):
         return type(exc), str(exc)
 
 
+def primitive_root(rng, rank, length):
+    """A random cyclically reduced word of ``length`` letters that is no
+    proper power."""
+    while True:
+        root, _ = cyclically_reduce(random_reduced(rng, rank, length))
+        if len(root) == length and _least_rotation(root.codes)[1] == length:
+            return root.repeat(1)
+
+
+def conjugated_powers(rng):
+    """Conjugated proper powers whose primitive root is shorter than,
+    exactly or longer than the 6 letters of the longest default pattern."""
+    corpus = [conjugate(power(w("a", rank=1), k), w("a" * c, rank=1))
+              for k in (2, 5, 9) for c in (0, 2)]
+    for rank in (2, 3):
+        for length in (2, 3, 5, 6, 6, 7, 9, 13):
+            root = primitive_root(rng, rank, length)
+            corpus.append(conjugate(power(root, rng.randrange(2, 8)),
+                                    random_reduced(rng, rank, rng.randrange(4))))
+    return corpus
+
+
+def pinned_bavard_corpus():
+    """300 seeded words of ranks 1 to 3, about two thirds of them
+    conjugated proper powers up to the 5th."""
+    rng = random.Random(1991)
+    corpus = []
+    for _ in range(300):
+        rank = rng.choice((1, 2, 3))
+        root = random_reduced(rng, rank, rng.randrange(1, 13))
+        conj = random_reduced(rng, rank, rng.randrange(0, 4))
+        k = rng.choice((1, 1, 2, 3, 4, 5))
+        corpus.append(conjugate(power(root, k), conj))
+    return corpus
+
+
 class TestBavardScan:
     def test_matches_per_pattern_scan_on_seeded_words(self):
         rng = random.Random(410)
@@ -574,9 +612,49 @@ class TestBavardScan:
         corpus += [power(random_reduced(rng, 2, rng.randrange(1, 6)),
                          rng.randrange(2, 60)) for _ in range(8)]
         corpus += [power(w("[a,b][a,B]"), 40), power(w("[a,b]"), 100)]
+        corpus += conjugated_powers(rng)
         assert max(len(a) for a in corpus) >= 400
         for a in corpus:
             assert scl_lower_bavard(a) == per_pattern_bavard(a), str(a)
+
+    def test_pinned_bounds_and_witnesses(self):
+        # recorded from the scan that built one Fraction per pattern
+        lines = [f"{bound}|{witness}".encode() for bound, witness
+                 in map(scl_lower_bavard, pinned_bavard_corpus())]
+        assert hashlib.sha256(b"\n".join(lines)).hexdigest() == (
+            "4705fc0c6987eb1f376517f8a37de3f01f7dde9ccb151e0f368689cf15b80e63")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda rank: st.lists(st.sampled_from(
+            [s * i for i in range(1, rank + 1) for s in (1, -1)]),
+            min_size=6, max_size=14).map(lambda letters: ReducedWord(
+                rank, letters))),
+        st.integers(min_value=2, max_value=6))
+    def test_proper_power_is_k_times_its_base(self, a, k):
+        core, _ = cyclically_reduce(a)
+        assume(len(core) >= 6)
+        base = core.repeat(1)
+        assert default_brooks_dictionary(base) \
+            == default_brooks_dictionary(power(base, k))
+        bound, witness = scl_lower_bavard(base)
+        assert scl_lower_bavard(power(base, k)) == (k * bound, witness)
+
+    @pytest.mark.parametrize("text,root_length", [
+        ("[a,b]^40", 4), ("([a,b][a,B])^7", 8), ("b[a,b]^3B", 4),
+        ("aabAB", 5)])
+    def test_proper_power_is_tabled_on_its_root(self, monkeypatch, text,
+                                                root_length):
+        tabled = []
+
+        def spy(core, k):
+            tabled.append(len(core))
+            return _cyclic_starts(core, k)
+
+        monkeypatch.setattr(scl_engine, "_cyclic_starts", spy)
+        a = w(text)
+        assert scl_lower_bavard(a) == per_pattern_bavard(a)
+        assert tabled and set(tabled) == {root_length}
 
     def test_matches_per_pattern_scan_on_custom_dictionaries(self):
         # patterns longer than the core, absent from it, repeated, next to
