@@ -104,14 +104,15 @@ def brooks(w: ReducedWord) -> QuasimorphismHandle:
 
 
 def _homogeneous_value(starts: dict, codes: tuple[int, ...], L: int
-                       ) -> Fraction:
+                       ) -> tuple[int, int]:
     """``rate(w) - rate(w^-1)`` for the pattern ``w = codes``, read from the
     table ``_cyclic_starts(core, len(codes))`` of a nonempty core of
-    length ``L``."""
+    length ``L``, as an unreduced integer pair ``(numerator, denominator)``
+    with a positive denominator."""
     k = len(codes)
     n1, d1 = _cyclic_copy_rate(starts.get(codes, ()), k, L)
     n2, d2 = _cyclic_copy_rate(starts.get(_inv(codes), ()), k, L)
-    return Fraction(n1 * d2 - n2 * d1, d1 * d2)
+    return n1 * d2 - n2 * d1, d1 * d2
 
 
 def brooks_homogeneous_exact(w: ReducedWord,
@@ -131,8 +132,8 @@ def brooks_homogeneous_exact(w: ReducedWord,
         return Fraction(0)
     if w.rank != core.rank:
         raise RankMismatchError(f"rank {w.rank} vs rank {core.rank}")
-    return _homogeneous_value(_cyclic_starts(core.codes, len(w.codes)),
-                              w.codes, core.length)
+    return Fraction(*_homogeneous_value(
+        _cyclic_starts(core.codes, len(w.codes)), w.codes, core.length))
 
 
 def brooks_homogeneous(w: ReducedWord) -> QuasimorphismHandle:

@@ -25,7 +25,6 @@ from .free_words import (
     WordError,
     _codes_up_to,
     _count_up_to,
-    _cyclic_copy_rate,
     _cyclic_split,
     _cyclic_starts,
     _inv,
@@ -39,7 +38,7 @@ from .free_words import (
     power,
     word_sort_key,
 )
-from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT
+from .quasimorphisms import HOMOGENEOUS_BROOKS_DEFECT, _homogeneous_value
 
 __all__ = [
     "NotInCommutatorSubgroupError",
@@ -492,8 +491,8 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
     ``CyclicWord`` is taken as the core of ``a`` already.
 
     Each pattern length's cyclic subwords are tabled once, and each value
-    is the integer pair of two ``_cyclic_copy_rate`` walks, compared by
-    cross-multiplication.  A proper power ``r^m`` is scanned on its root
+    is the integer pair of ``brooks_homogeneous_exact``'s routine
+    ``_homogeneous_value``, compared by cross-multiplication.  A proper power ``r^m`` is scanned on its root
     ``r``, since ``fbar(r^m) = m fbar(r)`` scales every value alike.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
@@ -515,9 +514,8 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
         starts = tables.get(k)
         if starts is None:
             starts = tables[k] = _cyclic_starts(core.codes[:p], k)
-        n1, d1 = _cyclic_copy_rate(starts.get(pattern.codes, ()), k, p)
-        n2, d2 = _cyclic_copy_rate(starts.get(_inv(pattern.codes), ()), k, p)
-        num, den = abs(n1 * d2 - n2 * d1), d1 * d2
+        num, den = _homogeneous_value(starts, pattern.codes, p)
+        num = abs(num)
         if num * best_d > best_n * den:
             best_n, best_d = num, den
             witness = pattern
