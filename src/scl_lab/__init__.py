@@ -13,8 +13,8 @@ The package splits into five layers:
     certificate search for upper bounds, and combined reports.
 ``hyperbolic_estimates``
     Closed-form estimate calculators for tubes, Dehn surgery, cusp
-    geometry, and spectral gap constants, plus a grid audit of the
-    inequalities that glue them together.
+    geometry, and spectral gap constants, plus an exact proof of the
+    inequalities behind the surgery length bound.
 ``sol_geometry``
     Sol lattices: commutator subgroup membership, explicit single
     commutator certificates, and a recursion whose certificate size grows

@@ -31,9 +31,7 @@ from .errors import AuditError, SclLabError, SearchBudgetError
 from .free_words import (
     ReducedWord,
     abelianization,
-    count_disjoint_copies,
     cyclically_reduce,
-    enumerate_reduced_words,
     parse_word,
 )
 from .hyperbolic_estimates import (
@@ -177,13 +175,6 @@ def _parse_float_pair(text: str, label: str) -> complex:
     raise ValueError(f"{label} needs two comma-separated reals, got {text!r}")
 
 
-def _grid_entry(i: int, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"--grid entry {i} {text!r} is not a number") from None
-
-
 def _matrix_arg(args) -> AnosovMatrix:
     return AnosovMatrix(*_parse_int_list(args.matrix, 4, "--matrix"))
 
@@ -313,12 +304,17 @@ def _cmd_cl(args):
 
 def _cmd_rot(args):
     entries = args.matrix.split(",")
-    matrix = [float(x) for x in entries]
-    if len(matrix) != 4:
+    if len(entries) != 4:
         raise ValueError(
             f"--matrix needs four comma-separated reals, got {args.matrix!r}")
-    for text, x in zip(entries, matrix):
-        if not math.isfinite(x):
+    matrix = []
+    for i, text in enumerate(entries, 1):
+        try:
+            matrix.append(float(text))
+        except ValueError:
+            raise ValueError(f"--matrix entry {i} {text.strip()!r} "
+                             "is not a number") from None
+        if not math.isfinite(matrix[-1]):
             raise ValueError(f"--matrix entry {text.strip()!r} is not finite")
     lift = lift_from_matrix(matrix, branch=args.branch)
     estimate = rotation_number(lift, args.iterations)
@@ -488,34 +484,12 @@ def _cmd_sol_mul(args):
 # ---------------------------------------------------------------------------
 # audit
 
-def _occurrences(word: ReducedWord, pattern: ReducedWord) -> list[int]:
-    n, k = len(word), len(pattern)
-    return [i for i in range(n - k + 1)
-            if word.codes[i:i + k] == pattern.codes]
-
-
-def _brute_max_disjoint(starts: list[int], length: int) -> int:
-    def best(idx: int, free_from: int) -> int:
-        if idx == len(starts):
-            return 0
-        result = best(idx + 1, free_from)
-        if starts[idx] >= free_from:
-            result = max(result, 1 + best(idx + 1, starts[idx] + length))
-        return result
-
-    return best(0, 0)
-
-
 def _audit_checks(args):
-    grid = ([_grid_entry(i, x) for i, x in enumerate(args.grid.split(","), 1)]
-            if args.grid is not None
-            else [2.0 + 8.0 * i / 1000.0 for i in range(1, 1001)])
-
     def surgery_check():
-        report = surgery_bound_audit(grid)
-        margins = {name: {"min_margin": _real(margin), "at": _real(at)}
-                   for name, (margin, at) in sorted(report.margins.items())}
-        return {"grid_size": report.grid_size, "margins": margins}
+        report = surgery_bound_audit()
+        margins = {name: _real(float(margin))
+                   for name, margin in sorted(report.margins.items())}
+        return {"t0": report.t0, "margins": margins}
 
     def nz_check():
         rng = random.Random(args.seed)
@@ -545,31 +519,15 @@ def _audit_checks(args):
         return {"length_budget": 3, "observed_max": int(worst),
                 "certificate": BROOKS_DEFECT}
 
-    def counting_check():
-        patterns = [p for p in enumerate_reduced_words(2, 3, min_len=2)]
-        mismatches = 0
-        pairs = 0
-        for word in enumerate_reduced_words(2, 6, min_len=2):
-            for pattern in patterns:
-                pairs += 1
-                greedy = count_disjoint_copies(pattern, word)
-                starts = _occurrences(word, pattern)
-                if greedy != _brute_max_disjoint(starts, len(pattern)):
-                    mismatches += 1
-        if mismatches:
-            raise AuditError(f"{mismatches} greedy/brute-force mismatches")
-        return {"pairs": pairs, "mismatches": 0}
-
     return [("surgery-inequalities", surgery_check),
             ("filled-core-limit", nz_check),
-            ("brooks-defect", defect_check),
-            ("greedy-counting", counting_check)]
+            ("brooks-defect", defect_check)]
 
 
 def _cmd_audit(args):
     records = []
     failed = False
-    inputs = {"grid": args.grid, "seed": args.seed}
+    inputs = {"seed": args.seed}
     for name, check in _audit_checks(args):
         try:
             detail = check()
@@ -725,8 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", parents=[common, seeded],
                        help="run the built-in soundness checks")
-    p.add_argument("--grid", help="comma-separated tube radii > 2 for the "
-                                  "surgery inequality audit")
     p.set_defaults(handler=_cmd_audit)
 
     return parser

@@ -40,8 +40,9 @@ class CertificateError(SclLabError):
 
 
 class AuditError(SclLabError):
-    """An audited bound failed: a printed inequality on the audit grid, or
-    an observed defect above its certified bound."""
+    """An audited bound failed: a printed inequality whose exact margin at
+    the surgery threshold is not positive, or an observed defect above its
+    certified bound."""
 
 
 class SearchBudgetError(SclLabError):

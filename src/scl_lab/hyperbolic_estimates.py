@@ -4,11 +4,11 @@ Everything here is a pure function of its numeric inputs: tube-supported
 quasimorphism values with their defect, Hodgson-Kerckhoff minimum core
 lengths, Dehn-surgery genus and length bounds, the Neumann-Zagier cusp
 form, tube areas, and the thick-thin length-gap calculators.  The module
-also audits the inequality chain behind the surgery length bound on a grid,
-reporting margins and failing loudly on any violation.
+also proves the inequality chain behind the surgery length bound on the
+whole domain ``T >= SURGERY_T0``, in exact rational arithmetic.
 
 Printed constants (0.5404, 3.993, 1.0376, 0.9816, 1.0206) carry four to
-five significant digits; all evaluation is double precision.
+five significant digits; the calculators evaluate in double precision.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import AuditError
 
@@ -25,6 +25,7 @@ __all__ = [
     "HK_COEFFICIENT",
     "SURGERY_COEFFICIENT",
     "AUDIT_COEFFICIENTS",
+    "SURGERY_T0",
     "TubeParams",
     "CuspShape",
     "SurgeryCoeffs",
@@ -62,6 +63,11 @@ SURGERY_COEFFICIENT = 3.993
 
 #: Coefficients of the three audited inequalities, in audit order.
 AUDIT_COEFFICIENTS = (1.0376, 0.9816, 1.0206)
+
+#: Least tube radius of the surgery length bound.  All three audited
+#: inequalities hold on ``[SURGERY_T0, inf)``; the first fails below about
+#: 2.00081, so the threshold cannot be 2.
+SURGERY_T0 = 2.001
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +245,10 @@ def surgery_length_bound(s: SurfaceData, radius: float, p: int) -> float:
     """Upper bound for the filled core length from the surgery estimate.
 
     ``(3.993 pi |chi_q| (T + 1) / (T p))**2``, valid for tube radius
-    T >= 2.
+    T >= SURGERY_T0, where ``surgery_bound_audit`` proves its inequalities.
     """
-    if not radius >= 2:
-        raise ValueError(f"radius must be >= 2, got {radius}")
+    if not radius >= SURGERY_T0:
+        raise ValueError(f"radius must be >= {SURGERY_T0}, got {radius}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     chi_q = abs(float(s.chi_q))
@@ -252,56 +258,61 @@ def surgery_length_bound(s: SurfaceData, radius: float, p: int) -> float:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Margins of the three audited inequalities over a grid.
+    """The three audited inequalities, proved on ``[t0, inf)``.
 
-    ``margins`` maps each check name to its minimum margin (left side minus
-    right side) and the grid point attaining it.  Construction of a report
-    implies every margin passed; violations raise AuditError instead.
+    ``margins`` maps each check name to its exact positive margin, a lower
+    bound of the divided left side minus right side at every T >= t0.
     """
 
-    grid_size: int
+    t0: float
     margins: dict
 
 
-def surgery_bound_audit(t_grid: Sequence[float]) -> AuditReport:
-    """Check the inequality chain behind the surgery length bound.
+def _exp_neg_upper(s: Fraction) -> Fraction:
+    """Upper bound on ``e^(-s)``, s >= 0: 1 / 30 terms of the series of
+    ``e^s``; more terms only make it tighter."""
+    total = term = Fraction(1)
+    for k in range(1, 30):
+        term = term * s / k
+        total += term
+    return 1 / total
 
-    At every T in the grid (all must exceed 2) three printed inequalities
-    are evaluated directly:
+
+def _surgery_margins(t0: Fraction) -> dict:
+    """The three divided margins at an upper bound on ``e^(-2 t0)``."""
+    x = _exp_neg_upper(2 * t0)
+    c1, c2, c3 = map(Fraction, AUDIT_COEFFICIENTS)
+    hk = Fraction(HK_COEFFICIENT)
+    return {
+        "exp-dominates-cosh-over-tanh": c1 - (1 + x * x) * (1 + x) / (1 - x),
+        "sinh-dominates-exp": 1 - x - c2,
+        "exp-dominates-inverse-root-length":
+            2 * hk * (1 - x) / ((1 + x) * (1 + x * x)) - c3 * c3,
+    }
+
+
+def surgery_bound_audit() -> AuditReport:
+    """Prove the inequality chain behind the surgery length bound.
+
+    For every tube radius T >= SURGERY_T0 three printed inequalities hold:
 
       1. ``1.0376 e^(2T) >= 2 cosh(2T) / tanh(T)``
       2. ``2 sinh(T) > 0.9816 e^T``
       3. ``e^T >= 1.0206 length^(-1/2)`` with the minimum core length at T
 
-    Raises AuditError on any violation, otherwise reports minimum margins.
+    Divided by ``e^(2T)``, ``e^T`` and (squared) ``e^(2T)``, with
+    ``x = e^(-2T)``, they read ``(1 + x^2)(1 + x) / (1 - x) <= 1.0376``,
+    ``1 - x > 0.9816`` and ``2 0.5404 (1 - x) / ((1 + x)(1 + x^2)) >=
+    1.0206^2``.  Each gets worse as x grows and x falls as T grows, so
+    positive margins at a rational upper bound on ``e^(-2 SURGERY_T0)``
+    prove all three on the whole domain.  Raises AuditError otherwise.
     """
-    grid = list(t_grid)
-    if not grid:
-        raise ValueError("audit grid is empty")
-    for t in grid:
-        if not t > 2:
-            raise ValueError(f"audit grid requires T > 2, got {t}")
-    c1, c2, c3 = AUDIT_COEFFICIENTS
-    checks = {
-        "exp-dominates-cosh-over-tanh":
-            lambda t: c1 * math.exp(2 * t) - 2 * math.cosh(2 * t) / math.tanh(t),
-        "sinh-dominates-exp":
-            lambda t: 2 * math.sinh(t) - c2 * math.exp(t),
-        "exp-dominates-inverse-root-length":
-            lambda t: math.exp(t) - c3 / math.sqrt(hk_min_core_length(t)),
-    }
-    margins = {}
-    for name, margin in checks.items():
-        worst = None
-        for t in grid:
-            m = margin(t)
-            if m <= 0:
-                raise AuditError(
-                    f"inequality {name} fails at T = {t} with margin {m}")
-            if worst is None or m < worst[0]:
-                worst = (m, t)
-        margins[name] = worst
-    return AuditReport(grid_size=len(grid), margins=margins)
+    margins = _surgery_margins(Fraction(SURGERY_T0))
+    for name, margin in margins.items():
+        if not margin > 0:
+            raise AuditError(f"inequality {name} fails at T0 = {SURGERY_T0} "
+                             f"with margin {float(margin):.3g}")
+    return AuditReport(t0=SURGERY_T0, margins=margins)
 
 
 # ---------------------------------------------------------------------------

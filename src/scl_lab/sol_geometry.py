@@ -95,7 +95,7 @@ def _mat_mul(x, y):
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # deep decompositions touch ~10^4 powers
 def _matrix_power(m: tuple[int, int, int, int], k: int):
     if k == 0:
         return (1, 0, 0, 1)

@@ -185,16 +185,25 @@ def test_criterion_04_counting_oracle():
             _occurrences(a, p), len(p))
 
 
-@criterion(5, "surgery proof inequalities hold on a 1000-point grid")
+@criterion(5, "surgery proof inequalities hold on [T0, inf), T0 = 2.001")
 def test_criterion_05_inequality_audit():
-    grid = [2.0 + 8.0 * i / 1000.0 for i in range(1, 1001)]
     start = time.perf_counter()
-    report = surgery_bound_audit(grid)
+    report = surgery_bound_audit()
     elapsed = time.perf_counter() - start
-    assert report.grid_size == 1000
+    assert report.t0 == 2.001
     assert len(report.margins) == 3
-    for margin, _ in report.margins.values():
-        assert margin > 0
+    for margin in report.margins.values():
+        assert isinstance(margin, Fraction) and margin > 0
+    # the proof is one exact evaluation; check it against 50-digit values
+    # of the printed inequalities on a 1000-point grid from T0 to 10
+    c1, c2, c3 = (mpmath.mpf(c) for c in (1.0376, 0.9816, 1.0206))
+    for i in range(1000):
+        t = mpmath.mpf(report.t0 + (10 - report.t0) * i / 999)
+        length = mpmath.mpf(0.5404) * mpmath.tanh(t) / mpmath.cosh(2 * t)
+        assert c1 * mpmath.exp(2 * t) \
+            > 2 * mpmath.cosh(2 * t) / mpmath.tanh(t)
+        assert 2 * mpmath.sinh(t) > c2 * mpmath.exp(t)
+        assert mpmath.exp(t) > c3 / mpmath.sqrt(length)
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 

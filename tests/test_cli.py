@@ -104,7 +104,7 @@ class TestRecordShape:
             ("defect", "--pattern", "ab", "--length-budget", "3"),
             ("cl", "--word", "[a,b]"),
             ("tube", "--length", "0.1", "--radius", "2"),
-            ("surgery-a", "--chi", "-1", "--radius", "2", "--p", "10"),
+            ("surgery-a", "--chi", "-1", "--radius", "2.001", "--p", "10"),
             ("surgery-b", "--meridian-length", "6.3"),
             ("nz", "--meridian", "1,0", "--longitude", "0,1",
              "--p", "1000", "--q", "1"),
@@ -130,7 +130,7 @@ class TestRecordShape:
         assert parse_fraction(record["result"]["lower"]) == Fraction(1, 12)
         assert parse_fraction(record["result"]["upper"]) == Fraction(1, 2)
         captured = run_cli(capsys, "surgery-a", "--chi", "-1",
-                           "--radius", "2", "--p", "50")
+                           "--radius", "2.001", "--p", "50")
         (record,) = records_of(captured)
         assert parse_fraction(record["result"]["scl_upper"]) == Fraction(1, 100)
 
@@ -248,36 +248,35 @@ class TestExitCodes:
         assert record["result"] == {"in_commutator_subgroup": False,
                                     "cl": "infinity"}
 
-    def test_audit_ok_and_bad_grid(self, capsys):
+    def test_audit_proves_the_surgery_chain(self, capsys):
         captured = run_cli(capsys, "audit")
         records = records_of(captured)
-        assert len(records) == 4
+        assert [r["result"]["check"] for r in records] == [
+            "surgery-inequalities", "filled-core-limit", "brooks-defect"]
         assert all(r["result"]["passed"] for r in records)
-        assert {r["result"]["check"] for r in records} == {
-            "surgery-inequalities", "filled-core-limit",
-            "brooks-defect", "greedy-counting"}
-        code = main(["audit", "--grid", "1.5,3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "1.5" in captured.err
+        assert all(r["inputs"] == {"seed": 0} for r in records)
+        surgery = records[0]["result"]
+        assert surgery["t0"] == 2.001
+        assert len(surgery["margins"]) == 3
+        assert all(m > 0 for m in surgery["margins"].values())
 
-    def test_audit_empty_grid_is_invalid_input(self, capsys):
-        code = main(["audit", "--grid", ""])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("grid,message", [
-        ("", "--grid entry 1 '' is not a number"),
-        ("3,,4", "--grid entry 2 '' is not a number"),
-        ("3,x", "--grid entry 2 'x' is not a number")])
-    def test_audit_grid_names_the_bad_entry(self, capsys, grid, message):
+    @pytest.mark.parametrize("grid", ["2.5,3", "", "3,x"])
+    def test_audit_takes_no_grid(self, capsys, grid):
         code = main(["audit", "--grid", grid])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"scl-lab: error: {message}\n"
+        assert "unrecognized arguments: --grid" in captured.err
+
+    @pytest.mark.parametrize("radius,code,err", [
+        ("2", 2, "scl-lab: error: radius must be >= 2.001, got 2.0\n"),
+        ("2.001", 0, "")], ids=["2", "2.001"])
+    def test_surgery_a_radius_domain(self, capsys, radius, code, err):
+        assert main(["surgery-a", "--chi", "-1", "--radius", radius,
+                     "--p", "10"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert (captured.out != "") == (code == 0)
 
     def test_bad_matrix(self, capsys):
         code = main(["sol", "cert", "--matrix", "2,1,1", "--vector", "1,1"])
@@ -297,6 +296,16 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err == (
             f"scl-lab: error: --matrix entry '{entry}' is not finite\n")
+
+    @pytest.mark.parametrize("matrix,message", [
+        ("1,x,0,1", "--matrix entry 2 'x' is not a number"),
+        ("1,,0,1", "--matrix entry 2 '' is not a number")],
+        ids=["x", "empty"])
+    def test_rot_names_the_bad_entry(self, capsys, matrix, message):
+        code = main(["rot", "--matrix", matrix])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"scl-lab: error: {message}\n"
 
 
 class TestDefectSampling:
@@ -582,7 +591,7 @@ def test_float_failure_is_invalid_input(capsys, argv):
     (("nz", "--meridian", "nan,0", "--longitude", "0,1", "--p", "5",
       "--q", "1"), "cusp area nan is not normalized to 1 within 1e-09"),
     (("surgery-a", "--chi", "-1", "--radius", "nan", "--p", "3"),
-     "radius must be >= 2, got nan"),
+     "radius must be >= 2.001, got nan"),
 ])
 def test_nan_input_fails_its_validation(capsys, argv, reason):
     # the calculator's own check names the input, not the JSON writer
@@ -782,7 +791,10 @@ GOLDEN_SOL_BROOKS_AUDIT = json.loads(
 
 @pytest.mark.parametrize("record", GOLDEN_SOL_BROOKS_AUDIT,
                          ids=lambda record: " ".join(record["argv"])[:80])
-def test_sol_brooks_audit_golden_records_byte_for_byte(capsys, record):
+def test_sol_brooks_audit_golden_records_byte_for_byte(capsys, monkeypatch,
+                                                       record):
+    # argparse wraps its usage text to COLUMNS; the records were taken at 80
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(list(record["argv"]))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) \

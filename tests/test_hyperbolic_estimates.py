@@ -5,7 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from scl_lab import hyperbolic_estimates
+from scl_lab.errors import AuditError
 from scl_lab.hyperbolic_estimates import (
+    AUDIT_COEFFICIENTS,
+    HK_COEFFICIENT,
+    SURGERY_T0,
     CuspShape,
     GapParams,
     SurfaceData,
@@ -27,6 +32,7 @@ from scl_lab.hyperbolic_estimates import (
     tube_area,
     tube_qm_value,
 )
+from scl_lab.hyperbolic_estimates import _exp_neg_upper, _surgery_margins
 
 mpmath.mp.dps = 50
 
@@ -174,10 +180,12 @@ class TestSurgery:
             scl_upper_from_surgery(SurfaceData(-1, 1), 0)
 
     def test_length_bound_documented(self):
-        v = surgery_length_bound(SurfaceData(-1, 1), 2, 50)
-        oracle = float((mpmath.mpf("3.993") * mpmath.pi * 3 / 100) ** 2)
+        v = surgery_length_bound(SurfaceData(-1, 1), SURGERY_T0, 50)
+        t = mpmath.mpf(SURGERY_T0)
+        oracle = float((mpmath.mpf("3.993") * mpmath.pi * (t + 1)
+                        / (t * 50)) ** 2)
         assert abs(v - oracle) < 1e-12
-        assert abs(v - 0.141625) < 1e-6
+        assert abs(v - 0.141578) < 1e-6
         v2 = surgery_length_bound(SurfaceData(-2, 1), 3, 100)
         oracle2 = float((mpmath.mpf("3.993") * mpmath.pi * 2 * 4 / 300) ** 2)
         assert abs(v2 - oracle2) < 1e-12
@@ -192,34 +200,85 @@ class TestSurgery:
         with pytest.raises(ValueError, match="radius must be >= 2"):
             surgery_length_bound(SurfaceData(-1, 1), radius, 10)
 
+    @pytest.mark.parametrize("radius", [2, 2.0008, 2.0009999])
+    def test_length_bound_domain_starts_at_t0(self, radius):
+        # the audited inequalities fail at T = 2, so [2, T0) is refused
+        with pytest.raises(ValueError, match=rf"^radius must be >= 2\.001, "
+                                             rf"got {radius}$"):
+            surgery_length_bound(SurfaceData(-1, 1), radius, 10)
+        assert surgery_length_bound(SurfaceData(-1, 1), SURGERY_T0, 10) > 0
 
-class TestAudit:
-    def test_passes_on_documented_grid(self):
-        report = surgery_bound_audit([2.01, 3, 5, 10])
-        assert report.grid_size == 4
-        assert len(report.margins) == 3
-        for margin, at in report.margins.values():
-            assert margin > 0
-            assert 2 < at <= 10
 
-    def test_thousand_point_grid(self):
-        grid = [2 + 8 * (i + 1) / 1000 for i in range(1000)]
-        report = surgery_bound_audit(grid)
-        assert report.grid_size == 1000
+def undivided_margins(t):
+    """Left minus right side of each printed inequality at T, 50 digits."""
+    c1, c2, c3 = map(mpmath.mpf, AUDIT_COEFFICIENTS)
+    length = (mpmath.mpf(HK_COEFFICIENT) * mpmath.tanh(t)
+              / mpmath.cosh(2 * t))
+    return (c1 * mpmath.exp(2 * t) - 2 * mpmath.cosh(2 * t) / mpmath.tanh(t),
+            2 * mpmath.sinh(t) - c2 * mpmath.exp(t),
+            mpmath.exp(t) - c3 / mpmath.sqrt(length))
 
-    def test_rejects_boundary_and_below(self):
-        with pytest.raises(ValueError):
-            surgery_bound_audit([2.0, 3.0])
-        with pytest.raises(ValueError):
-            surgery_bound_audit([1.5])
-        with pytest.raises(ValueError):
-            surgery_bound_audit([])
 
-    def test_first_inequality_is_tight_near_two(self):
-        # the margin at 2.01 is small, which is why the coefficient matters
-        report = surgery_bound_audit([2.01])
-        margin, _ = report.margins["exp-dominates-cosh-over-tanh"]
-        assert 0 < margin < 2
+def divided_margins(x):
+    """The same inequalities divided through, as functions of e^(-2T)."""
+    c1, c2, c3 = map(mpmath.mpf, AUDIT_COEFFICIENTS)
+    hk = mpmath.mpf(HK_COEFFICIENT)
+    return (c1 - (1 + x * x) * (1 + x) / (1 - x),
+            1 - x - c2,
+            2 * hk * (1 - x) / ((1 + x) * (1 + x * x)) - c3 * c3)
+
+
+def mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+NAMES = ("exp-dominates-cosh-over-tanh", "sinh-dominates-exp",
+         "exp-dominates-inverse-root-length")
+
+
+class TestSurgeryProof:
+    def test_proves_all_three_at_t0(self):
+        report = surgery_bound_audit()
+        assert report.t0 == SURGERY_T0 == 2.001
+        assert tuple(report.margins) == NAMES
+        for margin in report.margins.values():
+            assert isinstance(margin, Fraction) and margin > 0
+
+    def test_first_inequality_is_tight_at_t0(self):
+        # the first inequality fails just below T0, so its margin is small
+        margin = surgery_bound_audit().margins[NAMES[0]]
+        assert 0 < margin < Fraction(1, 10 ** 4)
+
+    @pytest.mark.parametrize("grid", [
+        [2 + 8 * (i + 1) / 1000 for i in range(1000)],
+        [2.001 + 0.009 * i / 900 for i in range(901)]],
+        ids=["old-grid", "dense-near-t0"])
+    def test_undivided_inequalities_hold_at_50_digits(self, grid):
+        for t in grid:
+            assert all(m > 0 for m in undivided_margins(mpmath.mpf(t))), t
+
+    def test_bound_on_x_encloses_exp(self):
+        t0 = Fraction(SURGERY_T0)
+        excess = mp(_exp_neg_upper(2 * t0)) - mpmath.exp(-2 * mp(t0))
+        assert 0 <= excess < 1e-15
+
+    def test_margins_sit_just_below_divided_values(self):
+        t0 = Fraction(SURGERY_T0)
+        exact = divided_margins(mpmath.exp(-2 * mp(t0)))
+        for margin, value in zip(_surgery_margins(t0).values(), exact):
+            assert mp(margin) < value < mp(margin) + 1e-12
+
+    @pytest.mark.parametrize("t0", [Fraction(2), Fraction(2.0008)],
+                             ids=["2", "2.0008"])
+    def test_proof_fails_below_threshold(self, t0):
+        margins = _surgery_margins(t0)
+        assert margins[NAMES[0]] <= 0
+
+    def test_audit_raises_when_threshold_is_two(self, monkeypatch):
+        monkeypatch.setattr(hyperbolic_estimates, "SURGERY_T0", 2.0)
+        with pytest.raises(AuditError, match="exp-dominates-cosh-over-tanh "
+                                             "fails at T0 = 2.0"):
+            surgery_bound_audit()
 
 
 class TestConsistencyChain:
@@ -364,6 +423,4 @@ class TestDeterminism:
         a = tube_qm_value(TubeParams(0.1, 2)).value
         b = tube_qm_value(TubeParams(0.1, 2)).value
         assert a == b
-        g1 = surgery_bound_audit([2.5, 3.5]).margins
-        g2 = surgery_bound_audit([2.5, 3.5]).margins
-        assert g1 == g2
+        assert surgery_bound_audit() == surgery_bound_audit()

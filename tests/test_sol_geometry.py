@@ -342,6 +342,18 @@ class TestRecursiveDecomposition:
         with pytest.raises(SolMembershipError):
             recursive_log_decomposition(A, (0, 1))
 
+    def test_power_cache_stays_bounded(self):
+        # a member near 10^2000 touches more than 4096 distinct powers;
+        # the cache evicts instead of growing, and the result still verifies
+        cache = sol_geometry._matrix_power
+        cache.cache_clear()
+        a = image_vector(FIB_MATRIX, (10 ** 2000 + 12345, 3 * 10 ** 1999 + 7))
+        expr = recursive_log_decomposition(FIB_MATRIX, a).expression
+        info = cache.cache_info()
+        assert info.misses > info.maxsize == 4096 >= info.currsize
+        assert expr.target == SolElement(a, 0)
+        SolCommutatorExpression(expr.matrix, expr.factors, expr.target)
+
 
 class TestSclReport:
     """The two answers ``sol report`` is built from: a one-commutator
