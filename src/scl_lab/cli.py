@@ -282,13 +282,13 @@ def _cmd_cl(args):
     inputs = {"word": args.word, "rank": args.rank, "max_len": args.max_len,
               "max_genus": args.max_genus, "pair_budget": args.pair_budget}
     try:
-        lower = cl_lower(word)
+        # cl_upper checks the budgets before it looks at the word
+        cert = cl_upper(word, max_genus=args.max_genus, max_len=args.max_len,
+                        pair_budget=args.pair_budget)
     except NotInCommutatorSubgroupError:
         result = {"in_commutator_subgroup": False, "cl": "infinity"}
         return [_record("cl", inputs, result)], 0
-    cert = cl_upper(word, max_genus=args.max_genus, max_len=args.max_len,
-                    pair_budget=args.pair_budget)
-    result = {"in_commutator_subgroup": True, "lower": lower}
+    result = {"in_commutator_subgroup": True, "lower": cl_lower(word)}
     certificates = None
     flags = []
     if cert is None:

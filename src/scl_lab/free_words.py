@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "MAX_NAMED_RANK",
@@ -168,23 +168,22 @@ class CyclicWord:
 
     The stored representative is the lexicographically least rotation under
     the letter order a < A < b < B < ...; the constructor freely and
-    cyclically reduces its input first.
+    cyclically reduces its input first, through ``cyclically_reduce``.
+    ``period`` is the length of the primitive root: ``codes`` is
+    ``codes[:period]`` repeated (0 for the empty word).
     """
 
-    __slots__ = ("rank", "codes")
+    __slots__ = ("rank", "codes", "period")
 
     def __init__(self, rank: int, letters: Iterable[int] = (), *,
-                 _trusted: bool = False):
-        if rank < 1:
-            raise WordError(f"rank must be >= 1, got {rank}")
-        if _trusted:
-            codes = tuple(letters)
-        else:
-            _, core = _cyclic_split(_reduce(_coerce_codes(letters, rank)))
-            offset, _ = _least_rotation(core)
-            codes = core[offset:] + core[:offset]
+                 _period: Optional[int] = None):
+        # ``_period`` marks ``letters`` as a canonical core of that period
+        if _period is None:
+            core, _ = cyclically_reduce(ReducedWord(rank, letters))
+            letters, _period = core.codes, core.period
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", tuple(letters))
+        object.__setattr__(self, "period", _period)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("CyclicWord is immutable")
@@ -382,16 +381,17 @@ def commutator(u: ReducedWord, v: ReducedWord) -> ReducedWord:
 def cyclically_reduce(u: ReducedWord) -> tuple[CyclicWord, ReducedWord]:
     """Cyclic core and conjugator, with ``u = conj * core * conj^-1`` exactly.
 
-    The returned core is the canonical (least-rotation) representative; the
-    conjugator absorbs the rotation so the displayed identity always holds.
+    The returned core is the canonical (least-rotation) representative,
+    with its period from the same ``_least_rotation`` pass; the conjugator
+    absorbs the rotation so the displayed identity always holds.
     """
     conj, core = _cyclic_split(u.codes)
-    offset, _ = _least_rotation(core)
+    offset, period = _least_rotation(core)
     # core = p q and canon = q p with |p| = offset, so
     # u = (conj p) canon (conj p)^-1
     canon = core[offset:] + core[:offset]
     conj = conj + core[:offset]
-    return (CyclicWord(u.rank, canon, _trusted=True),
+    return (CyclicWord(u.rank, canon, _period=period),
             ReducedWord(u.rank, conj, _trusted=True))
 
 

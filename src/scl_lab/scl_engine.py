@@ -20,9 +20,7 @@ from typing import Optional, Union
 from .errors import CertificateError, SearchBudgetError, SoundnessError
 from .free_words import (
     CyclicWord,
-    RankMismatchError,
     ReducedWord,
-    WordError,
     _codes_up_to,
     _count_up_to,
     _cyclic_split,
@@ -34,7 +32,6 @@ from .free_words import (
     abelianization,
     commutator,
     cyclically_reduce,
-    enumerate_reduced_words,
     power,
     word_sort_key,
 )
@@ -411,6 +408,22 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     return (pair1, pair2)
 
 
+def _check_budgets(max_genus: int, max_len: int, pair_budget: int,
+                   n_max: int = 1) -> None:
+    """Raise ValueError for a search budget outside its domain."""
+    if max_genus < 0:
+        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+    if max_genus > 2:
+        raise ValueError(
+            f"search supports genus at most 2, got max_genus {max_genus}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if pair_budget < 0:
+        raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+
 def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
              max_len: int = DEFAULT_MAX_LEN,
              pair_budget: int = DEFAULT_PAIR_BUDGET
@@ -424,19 +437,11 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
     found.  Raises NotInCommutatorSubgroupError when no certificate of any
     genus can exist.
     """
+    _check_budgets(max_genus, max_len, pair_budget)
     vec = abelianization(a)
     if any(vec):
         raise NotInCommutatorSubgroupError(
             f"{a} has nonzero abelianization {vec}")
-    if max_genus < 0:
-        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
-    if max_genus > 2:
-        raise ValueError(
-            f"search supports genus at most 2, got max_genus {max_genus}")
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if pair_budget < 0:
-        raise ValueError(f"pair_budget must be >= 0, got {pair_budget}")
     if a.is_identity():
         return CommutatorCertificate(a, ())
     if max_genus >= 1:
@@ -453,6 +458,18 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
 # ---------------------------------------------------------------------------
 # lower bounds: Bavard duality for counting quasimorphisms
 
+def _default_patterns(core: CyclicWord):
+    """Yield ``(table, patterns)`` for the default patterns of a cyclic core,
+    by length k = 2..min(6, |core|): the cyclic subwords of the core, which
+    are the keys of ``_cyclic_starts(root, k)`` on its primitive root, and
+    at k = 2 every reduced two-letter word of the rank (a superset)."""
+    root = core.codes[:core.period]
+    for k in range(2, max(2, min(6, core.length)) + 1):
+        starts = _cyclic_starts(root, k) if root else {}
+        yield starts, (starts.keys() if k > 2 else
+                       [c for c in _codes_up_to(core.rank, 2) if len(c) == 2])
+
+
 def default_brooks_dictionary(a: Union[ReducedWord, CyclicWord]
                               ) -> tuple[ReducedWord, ...]:
     """Counting patterns tried against ``a``: every cyclic subword of its
@@ -462,63 +479,42 @@ def default_brooks_dictionary(a: Union[ReducedWord, CyclicWord]
     deterministic.  A ``CyclicWord`` is taken as the core already.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
-    out: list[ReducedWord] = []
-    seen: set[tuple[int, ...]] = set()
-    L = core.length
-    doubled = core.codes * 2
-    for ell in range(2, min(6, L) + 1):
-        for i in range(L):
-            sub = doubled[i:i + ell]
-            if sub not in seen:
-                seen.add(sub)
-                out.append(ReducedWord(a.rank, sub, _trusted=True))
-    for u in enumerate_reduced_words(a.rank, 2, min_len=2):
-        if u.codes not in seen:
-            seen.add(u.codes)
-            out.append(u)
-    out.sort(key=word_sort_key)
-    return tuple(out)
+    return tuple(sorted(
+        (ReducedWord(a.rank, codes, _trusted=True)
+         for _, patterns in _default_patterns(core) for codes in patterns),
+        key=word_sort_key))
 
 
-def scl_lower_bavard(a: Union[ReducedWord, CyclicWord],
-                     dictionary: Optional[tuple[ReducedWord, ...]] = None
+def scl_lower_bavard(a: Union[ReducedWord, CyclicWord]
                      ) -> tuple[Fraction, Optional[ReducedWord]]:
-    """Best Bavard lower bound ``|f(a)| / (2 D)`` over a pattern dictionary.
+    """Best Bavard lower bound ``|f(a)| / (2 D)`` over the default patterns.
 
     Uses homogeneous counting quasimorphisms with certified defect 6, so
-    each pattern w contributes ``|fbar_w(a)| / 12``.  Returns the bound and
-    the first pattern attaining it (None when every value vanishes).  A
-    ``CyclicWord`` is taken as the core of ``a`` already.
+    each pattern w of ``default_brooks_dictionary`` contributes
+    ``|fbar_w(a)| / 12``.  Returns the bound and its witness, the least
+    pattern in ``word_sort_key`` order that attains it (None when every
+    value vanishes).  A ``CyclicWord`` is taken as the core already.
 
-    Each pattern length's cyclic subwords are tabled once, and each value
-    is the integer pair of ``brooks_homogeneous_exact``'s routine
-    ``_homogeneous_value``, compared by cross-multiplication.  A proper power ``r^m`` is scanned on its root
-    ``r``, since ``fbar(r^m) = m fbar(r)`` scales every value alike.
+    The scan walks the tables of ``_default_patterns``, which lie on the
+    primitive root ``r`` of the core ``r^m``: ``fbar(r^m) = m fbar(r)``
+    scales every value alike.  Each value is the integer pair of
+    ``_homogeneous_value``, compared by cross-multiplication.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
-    if dictionary is None:
-        dictionary = default_brooks_dictionary(core)
-    L = core.length
-    p = _least_rotation(core.codes)[1] or 1
-    tables: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    best_n, best_d = 0, 1
-    witness: Optional[ReducedWord] = None
-    for pattern in dictionary:
-        k = len(pattern.codes)
-        if k < 2:
-            raise WordError(f"brooks pattern must have length >= 2, got {k}")
-        if not L:
-            continue
-        if pattern.rank != core.rank:
-            raise RankMismatchError(f"rank {pattern.rank} vs rank {core.rank}")
-        starts = tables.get(k)
-        if starts is None:
-            starts = tables[k] = _cyclic_starts(core.codes[:p], k)
-        num, den = _homogeneous_value(starts, pattern.codes, p)
-        num = abs(num)
-        if num * best_d > best_n * den:
-            best_n, best_d = num, den
-            witness = pattern
+    L, p = core.length, core.period
+    if not L:
+        return Fraction(0), None
+    best_n, best_d, best = 0, 1, ()
+    for starts, patterns in _default_patterns(core):
+        for codes in patterns:
+            num, den = _homogeneous_value(starts, codes, p)
+            num = abs(num)
+            gain = num * best_d - best_n * den
+            if gain > 0 or (gain == 0 and num and (
+                    (len(codes), _word_key(codes))
+                    < (len(best), _word_key(best)))):
+                best_n, best_d, best = num, den, codes
+    witness = ReducedWord(core.rank, best, _trusted=True) if best else None
     return (Fraction(best_n * (L // p), best_d * 2 * HOMOGENEOUS_BROOKS_DEFECT),
             witness)
 
@@ -528,9 +524,8 @@ def cl_lower(a: ReducedWord) -> int:
 
     A homogeneous quasimorphism f with defect D forces
     ``cl(a) >= f(a) / (2 D) + 1/2``; the bound below adds 1/2 to the
-    Bavard bound of ``scl_lower_bavard`` over the default dictionary and
-    rounds up.
-    The identity gives 0 and any other word at least 1.
+    Bavard bound of ``scl_lower_bavard`` and rounds up.  The identity
+    gives 0 and any other word at least 1.
     """
     if a.is_identity():
         return 0
@@ -607,6 +602,7 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
     which no nontrivial word can beat.  Soundness tripwires raise instead of
     returning nonsense.
     """
+    _check_budgets(max_genus, max_len, pair_budget, n_max)
     if a.is_identity():
         return SclReport(
             word=a, status="bounded", lower=Fraction(0), upper=Fraction(0),
@@ -615,11 +611,10 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
     if any(vec):
         return SclReport(word=a, status="not_in_commutator_subgroup",
                          lower=None, upper=None)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     core, _ = cyclically_reduce(a)
-    dictionary = default_brooks_dictionary(core)
-    lower, witness = scl_lower_bavard(core, dictionary)
+    lower, witness = scl_lower_bavard(core)
+    dictionary_size = sum(
+        len(patterns) for _, patterns in _default_patterns(core))
     flags: list[str] = []
     if lower >= HOMOLOGICAL_MARGULIS_CONSTANT:
         flags.append("above-homological-margulis-constant")
@@ -655,7 +650,7 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
         return SclReport(
             word=a, status="inconclusive", lower=lower, upper=None,
             lower_witness=witness, flags=tuple(flags),
-            dictionary_size=len(dictionary))
+            dictionary_size=dictionary_size)
 
     if best_upper < _DUNCAN_HOWIE_FLOOR:
         raise SoundnessError(
@@ -670,4 +665,4 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
         word=a, status="bounded", lower=lower, upper=best_upper,
         lower_witness=witness, power=best_power, power_genus=best_genus,
         certificate=best_cert, flags=tuple(flags),
-        dictionary_size=len(dictionary))
+        dictionary_size=dictionary_size)

@@ -227,6 +227,26 @@ class TestExitCodes:
         assert captured.err == (
             "scl-lab: error: pair_budget must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["scl", "--word", "", "--max-len", "-5", "--pair-budget", "-1",
+          "--max-genus", "9"], "search supports genus at most 2, got "
+         "max_genus 9"),
+        (["scl", "--word", "ab", "--max-len", "-5"],
+         "max_len must be >= 1, got -5"),
+        (["scl", "--word", "", "--n-max", "0"], "n_max must be >= 1, got 0"),
+        (["cl", "--word", "ab", "--max-len", "-5", "--pair-budget", "-3"],
+         "max_len must be >= 1, got -5"),
+    ], ids=["scl-identity", "scl-outside", "scl-identity-n-max",
+            "cl-outside"])
+    def test_budgets_are_checked_before_early_answers(self, capsys, argv,
+                                                      message):
+        # the identity and words outside [F, F] are answered without a
+        # search, but an invalid budget is still invalid input
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"scl-lab: error: {message}\n"
+
     def test_zero_pair_budget_is_exit_three(self, capsys):
         code = main(["cl", "--word", "[a,b]^2", "--pair-budget", "0"])
         captured = capsys.readouterr()

@@ -237,6 +237,26 @@ class TestCyclicWords:
                              if n % p == 0 and rotations[p % n] == codes)
                 assert _least_rotation(codes) == (offset, period), str(u)
 
+    def test_period_is_the_least_rotation_period(self):
+        # both ways to build a core keep the period of their one
+        # _least_rotation pass: the least p with codes == root repeated
+        rng = random.Random(37)
+        for rank, max_len in ((1, 6), (2, 7), (3, 5)):
+            for u in enumerate_reduced_words(rank, max_len):
+                core, _ = cyclically_reduce(u)
+                codes = core.codes
+                n = len(codes)
+                period = min((p for p in range(1, n + 1)
+                              if n % p == 0 and codes[:p] * (n // p) == codes),
+                             default=0)
+                assert core.period == _least_rotation(codes)[1] == period
+                i = rng.randrange(n) if n else 0
+                letters = list(codes[i:] + codes[:i])
+                letters[i:i] = [rank, -rank]  # undone by free reduction
+                for built in (CyclicWord(rank, u.codes),
+                              CyclicWord(rank, letters)):
+                    assert (built.codes, built.period) == (codes, period)
+
     def test_repeat(self):
         core = CyclicWord(2, w("ab").codes)
         assert core.repeat(3) == w("ababab")
@@ -337,7 +357,7 @@ class TestCounting:
                 continue
             codes = core.codes
             i = rng.randrange(len(codes))
-            rotated = CyclicWord(2, codes[i:] + codes[:i], _trusted=False)
+            rotated = CyclicWord(2, codes[i:] + codes[:i])
             assert count_disjoint_copies_cyclic(wc, rotated) == count_disjoint_copies_cyclic(wc, core)
 
 

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scl_lab import scl_engine
+from scl_lab import free_words, scl_engine
 from scl_lab.free_words import (
-    RankMismatchError,
     ReducedWord,
-    WordError,
     _codes_up_to,
     _cyclic_split,
     _cyclic_starts,
@@ -24,8 +22,10 @@ from scl_lab.free_words import (
     commutator,
     conjugate,
     cyclically_reduce,
+    enumerate_reduced_words,
     parse_word,
     power,
+    word_sort_key,
 )
 from scl_lab.quasimorphisms import (
     HOMOGENEOUS_BROOKS_DEFECT,
@@ -526,11 +526,16 @@ class TestLowerBounds:
     @settings(max_examples=150, deadline=None)
     @given(words(12))
     def test_bavard_homogeneous_over_fixed_dictionary(self, a):
-        # scl(a^k) = k scl(a), and so is each homogeneous Brooks value
+        # scl(a^k) = k scl(a), and so is each homogeneous Brooks value; a^k
+        # may have longer cyclic subwords, so its bound can only be larger
         dictionary = default_brooks_dictionary(a)
-        bound, _ = scl_lower_bavard(a, dictionary)
+        bound, _ = scl_lower_bavard(a)
+        values = [brooks_homogeneous_exact(p, a) for p in dictionary]
         for k in range(1, 5):
-            assert scl_lower_bavard(power(a, k), dictionary)[0] == k * bound
+            core, _ = cyclically_reduce(power(a, k))
+            assert [brooks_homogeneous_exact(p, core) for p in dictionary] \
+                == [k * value for value in values]
+            assert scl_lower_bavard(core)[0] >= k * bound
 
     def test_default_dictionary(self):
         d = default_brooks_dictionary(w("[a,b]"))
@@ -538,33 +543,39 @@ class TestLowerBounds:
         assert "ab" in texts and "abAB" in texts and "aa" in texts
         assert all(2 <= len(u) <= 6 for u in d)
         assert len(set(d)) == len(d)
-        from scl_lab.free_words import word_sort_key
         keys = [word_sort_key(u) for u in d]
         assert keys == sorted(keys)
 
 
-def per_pattern_bavard(a, dictionary=None):
+def doubled_slice_dictionary(a):
+    """Reference default dictionary, built as it was before the start
+    tables: every rotation of the doubled core sliced at each length
+    2..min(6, |core|), plus every reduced two-letter word, sorted."""
+    core, _ = cyclically_reduce(a)
+    L = core.length
+    doubled = core.codes * 2
+    subwords = {doubled[i:i + ell] for ell in range(2, min(6, L) + 1)
+                for i in range(L)}
+    subwords |= {u.codes for u in enumerate_reduced_words(a.rank, 2, 2)}
+    return tuple(sorted((ReducedWord(a.rank, c) for c in subwords),
+                        key=word_sort_key))
+
+
+def per_pattern_bavard(a):
     """Reference Bavard scan, as it was before the start tables: one
-    ``brooks_homogeneous_exact`` call per pattern."""
-    if dictionary is None:
-        dictionary = default_brooks_dictionary(a)
+    ``brooks_homogeneous_exact`` call per pattern of the reference
+    dictionary, in its order, keeping the first pattern that attains the
+    bound."""
     core, _ = cyclically_reduce(a)
     best = Fraction(0)
     witness = None
-    for pattern in dictionary:
+    for pattern in doubled_slice_dictionary(a):
         value = abs(brooks_homogeneous_exact(pattern, core))
         bound = value / (2 * HOMOGENEOUS_BROOKS_DEFECT)
         if bound > best:
             best = bound
             witness = pattern
     return best, witness
-
-
-def outcome(scan, *args):
-    try:
-        return scan(*args)
-    except WordError as exc:
-        return type(exc), str(exc)
 
 
 def primitive_root(rng, rank, length):
@@ -656,46 +667,34 @@ class TestBavardScan:
         assert scl_lower_bavard(a) == per_pattern_bavard(a)
         assert tabled and set(tabled) == {root_length}
 
-    def test_matches_per_pattern_scan_on_custom_dictionaries(self):
-        # patterns longer than the core, absent from it, repeated, next to
-        # their inverses, and in no particular order
-        rng = random.Random(12)
-        for _ in range(80):
-            a = random_reduced(rng, 2, rng.randrange(1, 12))
-            patterns = [random_reduced(rng, 2, rng.randrange(2, 16))
-                        for _ in range(rng.randrange(1, 12))]
-            patterns += [~p for p in patterns[:3]] + patterns[:2]
-            rng.shuffle(patterns)
-            dictionary = tuple(patterns)
-            assert scl_lower_bavard(a, dictionary) \
-                == per_pattern_bavard(a, dictionary), (str(a), patterns)
+    def test_default_dictionary_matches_doubled_slices(self):
+        rng = random.Random(6)
+        corpus = pinned_bavard_corpus() + conjugated_powers(rng)
+        corpus += [w(""), w("", rank=3), w("a", rank=1), w("ab")]
+        for a in corpus:
+            assert default_brooks_dictionary(a) \
+                == doubled_slice_dictionary(a), str(a)
 
-    def test_witness_is_the_first_attaining_pattern(self):
-        a = w("[a,b]")
-        for dictionary in ((w("ab"), w("ba"), w("AB")),
-                           (w("BA"), w("ab")), (w("aa"), w("bA"), w("ab"))):
-            bound, witness = scl_lower_bavard(a, dictionary)
-            assert (bound, witness) == per_pattern_bavard(a, dictionary)
-            assert witness is next(p for p in dictionary
-                                   if abs(brooks_homogeneous_exact(p, a))
-                                   == 12 * bound)
+    def test_empty_core_has_no_bound_and_no_witness(self):
+        for a in (w(""), w("", rank=3), w("abBA")):
+            core, _ = cyclically_reduce(a)
+            assert scl_lower_bavard(a) == (0, None)
+            assert scl_lower_bavard(core) == (0, None)
 
-    @pytest.mark.parametrize("text,patterns,error", [
-        ("[a,b]", [(2, "a")], WordError),
-        ("[a,b]", [(2, "ab"), (2, "")], WordError),
-        ("", [(2, "b")], WordError),
-        ("[a,b]", [(3, "ab")], RankMismatchError),
-        ("[a,b]", [(2, "ab"), (3, "ca"), (2, "a")], RankMismatchError),
-        ("[a,b]", [(2, "b"), (3, "ca")], WordError),
-        # the empty core counts nothing, so no rank is compared there
-        ("", [(3, "ca"), (2, "ab")], None),
-    ])
-    def test_same_errors_as_per_pattern_scan(self, text, patterns, error):
-        a = w(text)
-        dictionary = tuple(parse_word(p, rank) for rank, p in patterns)
-        expected = outcome(per_pattern_bavard, a, dictionary)
-        assert outcome(scl_lower_bavard, a, dictionary) == expected
-        assert expected[0] is error if error else expected == (0, None)
+    def test_one_least_rotation_per_call(self, monkeypatch):
+        calls = []
+        real = free_words._least_rotation
+
+        def counting(codes):
+            calls.append(codes)
+            return real(codes)
+
+        for module in (free_words, scl_engine):
+            monkeypatch.setattr(module, "_least_rotation", counting)
+        for text in ("[a,b]", "[a,b]^7", "bb[a,b]^2aBB", "aabAB"):
+            calls.clear()
+            scl_lower_bavard(w(text))
+            assert len(calls) == 1, text
 
     def test_cyclic_word_is_taken_as_the_core(self):
         a = w("bb[a,b]^2aBB")
