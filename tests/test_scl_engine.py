@@ -163,6 +163,21 @@ class TestClUpper:
                                match="pair_budget must be >= 0, got -1"):
                 cl_upper(w(text), pair_budget=-1)
 
+    @pytest.mark.parametrize("text,budgets,message", [
+        ("", {"max_len": -5}, "max_len must be >= 1, got -5"),
+        ("", {"max_genus": -1}, "max_genus must be >= 0, got -1"),
+        ("ab", {"pair_budget": -3}, "pair_budget must be >= 0, got -3"),
+        ("ab", {"max_genus": 9},
+         "search supports genus at most 2, got max_genus 9"),
+    ], ids=["identity-max-len", "identity-genus", "outside-pair-budget",
+            "outside-genus"])
+    def test_budgets_checked_before_early_answers(self, text, budgets,
+                                                  message):
+        # the identity and words outside [F, F] need no search, but the
+        # budgets are checked first, so the error names the budget
+        with pytest.raises(ValueError, match=message):
+            cl_upper(w(text), **budgets)
+
     def test_genus_subadditivity_spot_check(self):
         # the searches are complete for their budget, so a product can
         # never need more genus than its factors together provide
@@ -782,6 +797,36 @@ class TestSclReport:
                 assert rep.lower <= rep.upper
                 assert rep.upper >= Fraction(1, 2)
         assert bounded >= 25
+
+    @pytest.mark.parametrize("text,budgets,message", [
+        ("", {"n_max": 0}, "n_max must be >= 1, got 0"),
+        ("ab", {"max_len": -5}, "max_len must be >= 1, got -5"),
+    ], ids=["identity-n-max", "outside-max-len"])
+    def test_budgets_checked_before_early_answers(self, text, budgets,
+                                                  message):
+        with pytest.raises(ValueError, match=message):
+            scl_report(w(text), **budgets)
+
+    def test_dictionary_size_is_the_default_dictionary_length(self):
+        # the report counts the pattern tables itself; the count must be
+        # the length of the sorted dictionary over the same tables
+        from scl_lab.free_words import abelianization
+        corpus = pinned_bavard_corpus() + [
+            w("[a,b]"), w("[a,b]^3"), w("bb[a,b]^2BB"),
+            w("[a,b][a,c]", rank=3)]
+        rng = random.Random(88)
+        for _ in range(40):
+            rank = rng.choice((2, 3))
+            u, v = (random_reduced(rng, rank, rng.randrange(1, 5))
+                    for _ in range(2))
+            corpus.append(power(commutator(u, v), rng.randrange(1, 4)))
+        corpus = [a for a in corpus
+                  if not a.is_identity() and not any(abelianization(a))]
+        for a in corpus:
+            rep = scl_report(a, n_max=1, max_genus=0)
+            assert rep.dictionary_size == len(default_brooks_dictionary(a))
+            assert (rep.lower, rep.lower_witness) == scl_lower_bavard(a)
+        assert scl_report(w("[a,b]")).dictionary_size == 20
 
     def test_conjugation_invariance_of_lower_bound(self):
         from scl_lab.free_words import conjugate
