@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -253,14 +254,24 @@ def parse_word(text: str, rank: int) -> ReducedWord:
     commutator ``[w1,w2]`` (meaning ``w1 w2 w1^-1 w2^-1``), or a
     parenthesized word, optionally followed by ``^`` and a signed integer
     power.  Whitespace separates nothing and is ignored.  For ranks above 26
-    the indexed letters ``g<k>``/``G<k>`` are also accepted.
+    the indexed letters ``g<k>``/``G<k>`` are also accepted.  Text nested
+    deeper than the interpreter's recursion limit, or a word too large for
+    memory, raises WordSyntaxError like any other malformed text.
     """
     if rank < 1:
         raise WordError(f"rank must be >= 1, got {rank}")
-    codes, pos = _parse_sequence(text, 0, rank, stop="")
-    if pos != len(text):
-        raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-    return ReducedWord(rank, codes)
+    try:
+        codes, pos = _parse_sequence(text, 0, rank, stop="")
+        if pos == len(text):
+            return ReducedWord(rank, codes)
+    except RecursionError:
+        # point at the first opening bracket of greatest depth
+        depth = list(accumulate((c in "([") - (c in ")]") for c in text))
+        raise WordSyntaxError("brackets nested too deeply",
+                              depth.index(max(depth))) from None
+    except MemoryError:
+        raise WordSyntaxError("word is too large to build", 0) from None
+    raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
 
 
 def _skip_ws(text: str, i: int) -> int:

@@ -47,7 +47,6 @@ __all__ = [
     "DefectScan",
     "defect_observed",
     "DET_TOL",
-    "SUBDIVISIONS",
     "CircleLift",
     "lift_from_matrix",
     "compose",
@@ -256,11 +255,6 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
 #: How far a determinant may sit from 1 before a matrix is rejected.
 DET_TOL = 1e-9
 
-#: Grid resolution used when walking a lift across a fundamental domain.
-SUBDIVISIONS = 64
-
-_SNAP = 1e-12
-
 
 @dataclass(frozen=True)
 class CircleLift:
@@ -269,43 +263,33 @@ class CircleLift:
 
     The circle is R/Z with ``t`` naming the projective direction
     ``(cos pi t, sin pi t)``.  The matrix acts on directions; ``base_value``
-    pins the branch by fixing the image of 0.  ``evaluate`` extends over all
-    of R through the degree-one rule ``f(x + 1) = f(x) + 1``.
+    pins the branch by fixing the image of 0.  ``evaluate`` is one closed
+    form on [0, 1), extended over all of R through the degree-one rule
+    ``f(x + 1) = f(x) + 1``.
     """
 
     matrix: tuple[float, float, float, float]
     base_value: float
 
-    def principal(self, t: float) -> float:
-        """Image of ``t`` under the induced circle map, reduced into [0, 1)."""
-        a, b, c, d = self.matrix
-        x = math.cos(math.pi * t)
-        y = math.sin(math.pi * t)
-        return (math.atan2(c * x + d * y, a * x + b * y) / math.pi) % 1.0
-
     def evaluate(self, x: float) -> float:
-        """Value of the lift at ``x``.
+        """Value of the lift at ``x = k + t`` with ``0 <= t < 1``.
 
-        Walks from 0 to the fractional part through a fixed grid, unwrapping
-        each step into [0, 1).  The induced circle map is an orientation
-        preserving homeomorphism, so its lift is strictly increasing and
-        every true sub-step increment lies in (0, 1); the unwrap therefore
-        recovers it exactly, up to rounding handled by a snap guard.
+        For ``t > 0``, ``M = [[a, b], [c, d]]`` maps direction ``t`` to the
+        angle ``theta`` past ``M e0 = (a, c)``, where ``cot theta =
+        (a^2 + c^2) cot pi t + (ab + cd)``.  The image vectors' cross product
+        is ``det M sin pi t = sin pi t > 0``, so ``theta`` is in ``(0, pi)``:
+        the increment ``theta / pi`` needs no unwrapping.  A determinant
+        ``1 + e`` moves a value by about ``|e| / (2 pi)`` at most.
         """
         k = math.floor(x)
-        frac = x - k
-        total = self.base_value + k
-        if frac == 0.0:
-            return total
-        prev = self.principal(0.0)
-        for j in range(1, SUBDIVISIONS + 1):
-            raw = self.principal(frac * j / SUBDIVISIONS)
-            inc = (raw - prev) % 1.0
-            if inc > 1.0 - _SNAP:
-                inc = 0.0
-            total += inc
-            prev = raw
-        return total
+        t = x - k
+        if t == 0.0:
+            return self.base_value + k
+        a, b, c, d = self.matrix
+        s = math.sin(math.pi * t)
+        theta = math.atan2(s, (a * a + c * c) * math.cos(math.pi * t)
+                           + (a * b + c * d) * s)
+        return self.base_value + k + theta / math.pi
 
 
 def _flatten_matrix(matrix) -> tuple[float, float, float, float]:
@@ -327,11 +311,14 @@ def lift_from_matrix(matrix: Sequence, branch: int = 0) -> CircleLift:
     in [0, 1).  Rejects matrices whose determinant is not 1 within DET_TOL.
     """
     m = _flatten_matrix(matrix)
-    det = m[0] * m[3] - m[1] * m[2]
+    a, b, c, d = m
+    det = a * d - b * c
+    if math.isfinite(det):
+        # exact: the float products can round a determinant of 1 to 0
+        det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
     if not abs(det - 1.0) <= DET_TOL:
         raise ValueError(f"matrix determinant {det!r} is not 1 within {DET_TOL}")
-    probe = CircleLift(m, 0.0)
-    return CircleLift(m, probe.principal(0.0) + branch)
+    return CircleLift(m, (math.atan2(c, a) / math.pi) % 1.0 + branch)
 
 
 def compose(f: CircleLift, g: CircleLift) -> CircleLift:
@@ -347,7 +334,7 @@ def invert_lift(f: CircleLift) -> CircleLift:
     """The inverse lift, satisfying ``f(g(x)) = x``."""
     a, b, c, d = f.matrix
     adj = (d, -b, -c, a)
-    y0 = CircleLift(adj, 0.0).principal(0.0)
+    y0 = (math.atan2(-c, d) / math.pi) % 1.0
     # the adjugate sends direction 0 to y0 and f sends y0 back to an integer
     branch = round(f.evaluate(y0))
     return CircleLift(adj, y0 - branch)

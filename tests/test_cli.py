@@ -4,7 +4,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -94,6 +98,22 @@ class TestDocumentedExamples:
         (record,) = records_of(captured)
         assert abs(record["result"]["estimate"] - 1 / 3) <= 1 / 300
         assert record["result"]["error_bound"] == pytest.approx(1 / 300)
+
+    def test_rotation_number_of_strongly_hyperbolic_lift(self, capsys):
+        # 80-digit mpmath iterate of the same lift: 0.99916666672
+        captured = run_cli(capsys, "rot", "--matrix",
+                           "10000000,-10000001,-9999999,10000000",
+                           "--iterations", "300")
+        (record,) = records_of(captured)
+        assert abs(record["result"]["estimate"] - 0.99916666672) <= 1 / 300
+
+    def test_rotation_number_with_exact_determinant_one(self, capsys):
+        # a*d - b*c rounds to 0.0 in floats; the exact determinant is 1
+        captured = run_cli(capsys, "rot", "--matrix",
+                           "100000000,100000001,99999999,100000000",
+                           "--iterations", "300")
+        (record,) = records_of(captured)
+        assert record["result"]["estimate"] == 0.000833333328028
 
 
 class TestRecordShape:
@@ -195,6 +215,31 @@ class TestExitCodes:
         assert captured.err.startswith("scl-lab: error: power ")
         assert captured.err.endswith(
             f"is too large to build (position {position})\n")
+
+    def test_deep_nesting_is_invalid_input(self, capsys):
+        code = main(["word", "--word", "(" * 500 + "a" + ")" * 500])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "scl-lab: error: brackets nested too deeply (position 499)\n")
+
+    def test_word_too_large_for_memory_is_invalid_input(self):
+        # [a,[a,...[a,b]...]] 26 deep doubles its length per level, past
+        # 10^8 letters; a 160 MB address-space cap turns that into a
+        # MemoryError long before, which must still exit 2 on one line
+        text = "b"
+        for _ in range(26):
+            text = f"[a,{text}]"
+        cap = 160 * 2 ** 20
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scl_lab", "word", "--word", text],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "scl-lab: error: word is too large to build (position 0)\n")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

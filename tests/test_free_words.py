@@ -93,6 +93,18 @@ class TestParsing:
             w("a^x")
         assert e.value.position == 2
 
+    @pytest.mark.parametrize("text,position", [
+        ("(" * 2000 + "a" + ")" * 2000, 1999),
+        ("ab" + "[a," * 1500 + "b" + "]" * 1500, 1500 * 3 - 1),
+        ("((a)" + "(" * 3000 + "b" + ")" * 3000 + ")", 3003),
+    ], ids=["parentheses", "commutators", "after-a-group"])
+    def test_deep_nesting_is_a_syntax_error(self, text, position):
+        # nesting past the recursion limit points at the deepest bracket
+        with pytest.raises(WordSyntaxError) as e:
+            w(text)
+        assert e.value.position == position
+        assert str(e.value).startswith("brackets nested too deeply")
+
     def test_parse_print_round_trip(self):
         rng = random.Random(7)
         for _ in range(200):

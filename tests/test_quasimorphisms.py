@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,6 +267,57 @@ def rotation_matrix(turns):
     return [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
 
 
+def stretched_rotation(rng, lam):
+    """Seeded R(t1) diag(lam, 1/lam) R(t2) with float entries of
+    determinant exactly 1.
+
+    The first column is rounded to 26 bits, and the second moves by about
+    2^-25 of its size to a point with 52-bit entries on the line
+    ``a d - b c = 1``, so each entry moves in about its 8th significant
+    digit.
+    """
+    t1, t2 = rng.uniform(0, math.pi), rng.uniform(0, math.pi)
+    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+    a0 = lam * c1 * c2 - s1 * s2 / lam
+    b0 = -lam * c1 * s2 - s1 * c2 / lam
+    c0 = lam * s1 * c2 + c1 * s2 / lam
+    d0 = -lam * s1 * s2 + c1 * c2 / lam
+    s = 26 - math.frexp(max(abs(a0), abs(c0)))[1]
+    t = 51 - math.frexp(max(abs(b0), abs(d0)))[1]
+    A, C = round(a0 * 2.0 ** s), round(c0 * 2.0 ** s)
+    while math.gcd(A, C) != 1:
+        C += 1
+    # A D - C B = 2^(s + t), nearest the target (b0, d0) * 2^t
+    x = pow(A, -1, abs(C))
+    D, B = x << (s + t), ((A * x - 1) // C) << (s + t)
+    m = round(((Fraction(b0) * 2 ** t - B) * A + (Fraction(d0) * 2 ** t - D) * C)
+              / (A * A + C * C))
+    B, D = B + m * A, D + m * C
+    u, v = Fraction(2) ** -s, Fraction(2) ** -t
+    exact = (A * u, B * v, C * u, D * v)
+    entries = [float(e) for e in exact]
+    assert tuple(map(Fraction, entries)) == exact
+    assert exact[0] * exact[3] - exact[1] * exact[2] == 1
+    return entries
+
+
+def mpmath_lift(matrix, x):
+    """The branch-0 lift at ``x`` straight from its definition, at the
+    working precision: the image direction of ``pi t`` relative to that of
+    0, reduced into [0, 1)."""
+    a, b, c, d = map(mpmath.mpf, matrix)
+    x = mpmath.mpf(x)
+    phi0 = mpmath.atan2(c, a) / mpmath.pi
+    k = mpmath.floor(x)
+    t = x - k
+    value = phi0 - mpmath.floor(phi0) + k
+    if t:
+        ct, st = mpmath.cospi(t), mpmath.sinpi(t)
+        inc = mpmath.atan2(c * ct + d * st, a * ct + b * st) / mpmath.pi - phi0
+        value += inc - mpmath.floor(inc)
+    return value
+
+
 class TestCircleLift:
     def test_identity_lift(self):
         f = lift_from_matrix([[1, 0], [0, 1]])
@@ -290,7 +342,9 @@ class TestCircleLift:
     @pytest.mark.parametrize("matrix", [[[2, 0], [0, 1]],
                                         [math.nan, 0, 0, 1],
                                         [1, 0, math.nan, 1],
-                                        [math.inf, 0, 0, 1]])
+                                        [math.inf, 0, 0, 1],
+                                        [1e8, 100000001.0, 99999998.0, 1e8],
+                                        [1.0, 0.0, 3e-9, 1.0 + 2e-9]])
     def test_rejects_wrong_determinant(self, matrix):
         with pytest.raises(ValueError, match="determinant"):
             lift_from_matrix(matrix)
@@ -322,6 +376,47 @@ class TestCircleLift:
             for x in (-1.3, -0.1, 0.0, 0.6, 2.2):
                 assert abs(g.evaluate(f.evaluate(x)) - x) < 1e-6
                 assert abs(f.evaluate(g.evaluate(x)) - x) < 1e-6
+
+
+STRETCHES = [1, 3, 1e3, 1e6, 1e7, 1e8]
+
+
+class TestCircleLiftOracle:
+    """The lift and its rotation number against ``mpmath_lift`` at 80
+    digits on stretched rotations, up to singular values 1e8 and 1e-8."""
+
+    @pytest.mark.parametrize("lam", STRETCHES)
+    def test_evaluate_matches_mpmath(self, lam):
+        rng = random.Random(int(lam))
+        with mpmath.workdps(80):
+            for _ in range(6):
+                matrix = stretched_rotation(rng, lam)
+                f = lift_from_matrix(matrix)
+                for _ in range(8):
+                    x = rng.uniform(-2, 2)
+                    assert abs(f.evaluate(x) - mpmath_lift(matrix, x)) < 1e-12
+
+    @pytest.mark.parametrize("lam", STRETCHES)
+    def test_rotation_number_within_bound_of_mpmath(self, lam):
+        rng = random.Random(1000 + int(lam))
+        with mpmath.workdps(80):
+            for _ in range(6):
+                matrix = stretched_rotation(rng, lam)
+                est = rotation_number(lift_from_matrix(matrix), 300)
+                x = mpmath.mpf(0)
+                for _ in range(300):
+                    x = mpmath_lift(matrix, x)
+                assert abs(est.value - x / 300) <= est.error_bound
+
+    def test_exact_determinant_is_accepted(self):
+        # a*d - b*c rounds to 0 in floats; the exact determinant is 1
+        matrix = [1e8, 100000001.0, 99999999.0, 1e8]
+        est = rotation_number(lift_from_matrix(matrix), 300)
+        with mpmath.workdps(80):
+            x = mpmath.mpf(0)
+            for _ in range(300):
+                x = mpmath_lift(matrix, x)
+            assert abs(est.value - x / 300) < 1e-15
 
 
 class TestRotationNumber:
