@@ -601,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rot", parents=[common],
                        help="rotation number of a circle map lift")
     p.add_argument("--matrix", required=True,
-                   help="four comma-separated reals, row-major, det 1")
+                   help="four comma-separated reals, row-major, det 1 "
+                        "(--matrix=-0.5,... when the first is negative)")
     p.add_argument("--branch", type=int, default=0)
     p.add_argument("--iterations", type=int, default=300)
     p.set_defaults(handler=_cmd_rot)
@@ -670,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("mul", _cmd_sol_mul)):
         q = sol_sub.add_parser(name, parents=[common])
         q.add_argument("--matrix", required=True,
-                       help="four comma-separated integers, row-major")
+                       help="four comma-separated integers, row-major "
+                            "(--matrix=-2,... when the first is negative)")
         if name == "mul":
             q.add_argument("--x", required=True,
                            help="three comma-separated integers vx,vy,t")

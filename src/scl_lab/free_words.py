@@ -71,6 +71,14 @@ def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _join_codes(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced ``x y`` for reduced x and y: only the junction cancels."""
+    k, n = 0, min(len(x), len(y))
+    while k < n and x[-1 - k] == -y[k]:
+        k += 1
+    return x[:len(x) - k] + y[k:]
+
+
 def _inv(codes: Sequence[int]) -> tuple[int, ...]:
     return tuple(-c for c in reversed(codes))
 

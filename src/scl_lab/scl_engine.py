@@ -26,8 +26,8 @@ from .free_words import (
     _cyclic_split,
     _cyclic_starts,
     _inv,
+    _join_codes,
     _least_rotation,
-    _reduce,
     _word_key,
     abelianization,
     commutator,
@@ -125,11 +125,16 @@ def _genus_one_search(a: ReducedWord, max_len: int):
     """First (u, v) in canonical order with [u, v] = a and both lengths
     within ``max_len``, or None.
 
-    For each candidate u this solves the conjugacy equation
-    ``v u^-1 v^-1 = u^-1 a`` exactly: conjugate words share a cyclic core up
-    to rotation, and all solutions v form one coset of the centralizer of u,
-    which is cyclic.  Sweeping that coset finds the shortest solution, so
-    the search is complete at this length budget.
+    For each candidate u this solves ``v u^-1 v^-1 = u^-1 a`` exactly.
+    Conjugates share a cyclic core K up to rotation, and if
+    ``u^-1 = c1 K c1^-1`` and ``u^-1 a = c2 K c2^-1``, the solutions are
+    the coset ``v_k = c2 root^k c1^-1`` of the cyclic centralizer of u.
+    The primitive root of K, of period p, is cyclically reduced, so
+    ``|v_k| >= |k| p - |c1| - |c2| > max_len`` for ``|k|`` past
+    ``(max_len + |c1| + |c2|) // p``.  Stopping there, or at the older
+    window ``max_len + |v_0| + 2`` if smaller, keeps the v that window
+    chose.  Factors are reduced, so products cancel only at junctions;
+    distinct k give distinct words, so the shortest, least v_k is unique.
 
     Only the candidates of ``_genus_one_candidates`` can pass.  With ``c``
     the common prefix length of u and a, ``t = u^-1 a`` reduces to
@@ -147,7 +152,7 @@ def _genus_one_search(a: ReducedWord, max_len: int):
     target = a.codes
     for u_codes in _genus_one_candidates(rank, target, max_len):
         u_inv = _inv(u_codes)
-        t = _reduce(u_inv + target)
+        t = _join_codes(u_inv, target)
         c1_raw, core_u = _cyclic_split(u_inv)
         c2_raw, core_t = _cyclic_split(t)
         if len(core_u) != len(core_t) or not core_u:
@@ -157,24 +162,19 @@ def _genus_one_search(a: ReducedWord, max_len: int):
         canon_u = core_u[i:] + core_u[:i]
         if canon_u != core_t[j:] + core_t[:j]:
             continue
-        # u^-1 = c1 K c1^-1 and t = c2 K c2^-1 for the same core K, so
-        # v0 = c2 c1^-1 conjugates u^-1 to t; the full solution set is
-        # v0 <root> for the primitive root of u^-1, of period p
-        c1_t = c1_raw + core_u[:i]
+        c1_inv = _inv(c1_raw + core_u[:i])
         c2_t = c2_raw + core_t[:j]
-        seed_v = _reduce(c2_t + _inv(c1_t))
-        K = max_len + len(seed_v) + 2
-        best = None
-        for k in range(-K, K + 1):
-            mid = canon_u[:p] * k if k >= 0 else _inv(canon_u[:p] * (-k))
-            vk = _reduce(c2_t + mid + _inv(c1_t))
-            entry = (len(vk), _word_key(vk), k)
-            if best is None or entry < best[0]:
-                best = (entry, vk)
-        if best is not None and best[0][0] <= max_len and best[1]:
-            u = ReducedWord(rank, u_codes, _trusted=True)
-            v = ReducedWord(rank, best[1], _trusted=True)
-            return (u, v)
+        root, root_inv = canon_u[:p], _inv(canon_u[:p])
+        K = min(max_len + len(_join_codes(c2_t, c1_inv)) + 2,
+                (max_len + len(c1_inv) + len(c2_t)) // p)
+        vks = [_join_codes(_join_codes(
+            c2_t, root * k if k >= 0 else root_inv * -k), c1_inv)
+            for k in range(-K, K + 1)]
+        n = min(map(len, vks))
+        if 0 < n <= max_len:
+            v = min((vk for vk in vks if len(vk) == n), key=_word_key)
+            return (ReducedWord(rank, u_codes, _trusted=True),
+                    ReducedWord(rank, v, _trusted=True))
     return None
 
 

@@ -116,6 +116,36 @@ class TestDocumentedExamples:
         assert record["result"]["estimate"] == 0.000833333328028
 
 
+    def test_rot_matrix_with_negative_first_entry(self, capsys):
+        # rotation by two thirds; the "=" form takes the leading minus
+        captured = run_cli(
+            capsys, "rot",
+            "--matrix=-0.5,-0.8660254037844386,0.8660254037844386,-0.5")
+        (record,) = records_of(captured)
+        assert record["inputs"]["matrix"][0] == -0.5
+        assert abs(record["result"]["estimate"] - 2 / 3) <= 1 / 300
+
+    def test_sol_decompose_matrix_with_negative_first_entry(self, capsys):
+        # (-263, 26) = (A - I)(100, 37) is a member
+        captured = run_cli(capsys, "sol", "decompose", "--matrix=-2,1,1,-1",
+                           "--vector=-263,26")
+        (record,) = records_of(captured)
+        assert record["inputs"]["matrix"] == [-2, 1, 1, -1]
+        assert record["result"]["verified"] is True
+
+    @pytest.mark.parametrize("command,rest", [
+        (["rot"], ["--matrix", "-0.5,0,0,-2"]),
+        (["sol", "decompose"], ["--matrix", "-2,1,1,-1", "--vector", "2,1"])])
+    def test_space_form_of_a_negative_matrix_is_documented(
+            self, capsys, command, rest):
+        # argparse reads "-0.5,..." as an option: exit 2, which the
+        # --matrix help documents
+        assert main(command + rest) == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(command + ["--help"]) == 0
+        assert "(--matrix=-" in capsys.readouterr().out
+
+
 class TestRecordShape:
     def test_keys_and_single_line(self, capsys):
         invocations = [

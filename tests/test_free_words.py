@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scl_lab.free_words import (
     CyclicWord,
     RankMismatchError,
     ReducedWord,
     _count_up_to,
+    _inv,
+    _join_codes,
     _letter_key,
     _least_rotation,
+    _reduce,
     _unrank_codes,
     WordError,
     WordSyntaxError,
@@ -168,6 +173,21 @@ class TestGroupOps:
                 i = rng.choice(spots)
                 del codes[i:i + 2]
             assert tuple(codes) == ReducedWord(2, raw).codes
+
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12),
+           st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12),
+           st.integers(min_value=0, max_value=12),
+           st.booleans())
+    def test_junction_join_matches_full_reduction(self, xs, ys, cut, flip):
+        # y starts with the inverse of a tail of x, so up to all of x
+        # cancels; the flip inverts the product, so all of y can cancel too
+        x = ReducedWord(3, xs).codes
+        tail = x[max(0, len(x) - cut):]
+        y = ReducedWord(3, _inv(tail) + tuple(ys)).codes
+        if flip:
+            x, y = _inv(y), _inv(x)
+        assert _join_codes(x, y) == _reduce(x + y)
+        assert _join_codes(x, _inv(x)) == () == _join_codes(_inv(y), y)
 
     def test_commutator_and_conjugate(self):
         assert commutator(w("a"), w("b")) == w("abAB")

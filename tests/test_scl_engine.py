@@ -397,6 +397,50 @@ def genus_one_corpus(rng, rank, max_len, count):
     return corpus
 
 
+def window_corpus(rng, rank, max_len, count):
+    """Commutators [h r^m h^-1, v] with a root r of 1 or 2 letters and
+    m = 2 or 3, half of them conjugated by h r^j w with |w| = 6 to 8."""
+    corpus = []
+    while len(corpus) < count:
+        r, _ = cyclically_reduce(
+            random_reduced(rng, rank, rng.randrange(1, 3)))
+        h = random_reduced(rng, rank, rng.randrange(3))
+        u = h * r.repeat(rng.randrange(2, 4)) * ~h
+        a = commutator(u, random_reduced(rng, rank,
+                                         rng.randrange(1, max_len + 1)))
+        if rng.randrange(2):
+            g = (h * r.repeat(rng.randrange(1, 3))
+                 * random_reduced(rng, rank, rng.randrange(6, 9)))
+            a = g * a * ~g
+        if a.codes:
+            corpus.append(a)
+    return corpus
+
+
+def swept_windows(a, max_len):
+    """``(max_len + |v_0| + 2, (max_len + |c1| + |c2|) // p, p, |core u|,
+    |c1| + |c2|)`` for each coset ``_genus_one_search(a, max_len)``
+    sweeps, computed with ``_reduce`` on whole words."""
+    found = _genus_one_search(a, max_len)
+    out = []
+    for u in _genus_one_candidates(a.rank, a.codes, max_len):
+        c1, core_u = _cyclic_split(_inv(u))
+        c2, core_t = _cyclic_split(_reduce(_inv(u) + a.codes))
+        if len(core_u) != len(core_t) or not core_u:
+            continue
+        i, p = _least_rotation(core_u)
+        j, _ = _least_rotation(core_t)
+        if core_u[i:] + core_u[:i] != core_t[j:] + core_t[:j]:
+            continue
+        c1, c2 = c1 + core_u[:i], c2 + core_t[:j]
+        conj = len(c1) + len(c2)
+        out.append((max_len + len(_reduce(c2 + _inv(c1))) + 2,
+                    (max_len + conj) // p, p, len(core_u), conj))
+        if found is not None and found[0].codes == u:
+            break
+    return out
+
+
 def z_max(a, max_len):
     return max(0, (2 * max_len - len(a)) // 2)
 
@@ -422,6 +466,36 @@ class TestGenusOneCandidates:
         st.integers(min_value=1, max_value=5))
     def test_matches_full_sweep_on_random_words(self, a, max_len):
         assert _genus_one_search(a, max_len) == full_sweep_genus_one(a, max_len)
+
+    def test_matches_full_sweep_at_the_window_edges(self):
+        # u = h r^m h^-1 is a proper power (p < |core u|), and half the
+        # targets are conjugated by g = h r^j w with 6 to 8 letters in w,
+        # which makes |c1| + |c2| large; the corpus must reach both sides
+        # of min(old window, length bound).  The old window is the smaller
+        # for u = h x^2 h^-1 with |h| = 2 and [u, v] = a: then c1 = h,
+        # c2 = v h and v_0 = v, so max_len + |v| + 2 < max_len + |v| + 4
+        targets = [(parse_word(text, rank), 6) for text, rank in (
+            ("[abaaBA,b]", 2), ("[abaaBA,bab]", 2), ("[baBBAB,aBa]", 2),
+            ("[abccBA,cab]", 3), ("[acbbCA,b]", 3))]
+        seen = {"old window smaller": 0, "length bound smaller": 0,
+                "proper power": 0, "|c1| + |c2| >= 6": 0, "hit": 0}
+        for rank, max_len, count in ((2, 2, 20), (2, 3, 20), (2, 4, 20),
+                                     (2, 5, 20), (2, 6, 30), (3, 2, 20),
+                                     (3, 3, 20), (3, 4, 20), (3, 5, 10),
+                                     (3, 6, 6)):
+            rng = random.Random(7 * rank + max_len)
+            targets += [(a, max_len)
+                        for a in window_corpus(rng, rank, max_len, count)]
+        for a, max_len in targets:
+            expected = full_sweep_genus_one(a, max_len)
+            assert _genus_one_search(a, max_len) == expected, str(a)
+            seen["hit"] += expected is not None
+            for old, bound, p, core, conj in swept_windows(a, max_len):
+                seen["old window smaller"] += old < bound
+                seen["length bound smaller"] += bound < old
+                seen["proper power"] += p < core
+                seen["|c1| + |c2| >= 6"] += conj >= 6
+        assert all(seen.values()), seen
 
     @pytest.mark.parametrize("rank,max_len", [(2, 2), (2, 3), (3, 2)])
     def test_candidates_hold_every_solution(self, rank, max_len):
