@@ -12,9 +12,9 @@ The package splits into five layers:
     Two-sided bounds: Bavard lower bounds from quasimorphisms, commutator
     certificate search for upper bounds, and combined reports.
 ``hyperbolic_estimates``
-    Closed-form estimate calculators for tubes, Dehn surgery, cusp
-    geometry, and spectral gap constants, plus an exact proof of the
-    inequalities behind the surgery length bound.
+    Closed-form estimate calculators for tubes, Dehn surgery and cusp
+    geometry, plus an exact proof of the inequalities behind the surgery
+    length bound.
 ``sol_geometry``
     Sol lattices: commutator subgroup membership, explicit single
     commutator certificates, and a recursion whose certificate size grows

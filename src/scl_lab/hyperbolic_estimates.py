@@ -32,7 +32,6 @@ __all__ = [
     "SurfaceData",
     "GapParams",
     "AuditReport",
-    "ideal_triangle_area",
     "hk_min_core_length",
     "TubeQmValue",
     "tube_qm_value",
@@ -47,8 +46,6 @@ __all__ = [
     "length_gap_bound",
     "optimal_epsilon",
     "OptimalEpsilon",
-    "spectral_gap_constants",
-    "reznikov_min_tube_radius",
 ]
 
 #: Tolerance for the normalized cusp area check.
@@ -174,20 +171,6 @@ class GapParams:
 
 # ---------------------------------------------------------------------------
 # areas and tubes
-
-def ideal_triangle_area(alpha: float, beta: float, gamma: float) -> float:
-    """Hyperbolic triangle area pi - alpha - beta - gamma (Gauss-Bonnet).
-
-    Angles are in radians; the ideal triangle (all zero) attains pi.
-    """
-    if not (alpha >= 0 and beta >= 0 and gamma >= 0):
-        raise ValueError("angles must be nonnegative")
-    s = alpha + beta + gamma
-    if s >= math.pi:
-        raise ValueError(
-            f"angle sum {s} leaves no hyperbolic area (must be < pi)")
-    return math.pi - s
-
 
 def hk_min_core_length(radius: float) -> float:
     """Minimum core length compatible with an embedded tube of this radius.
@@ -395,26 +378,3 @@ def optimal_epsilon(cap: float) -> OptimalEpsilon:
         raise ValueError(f"cap must be > 0, got {cap}")
     eps = min(cap, math.sqrt(math.pi / 24))
     return OptimalEpsilon(eps, 4 * eps + math.pi / (6 * eps))
-
-
-def spectral_gap_constants() -> tuple[Fraction, Fraction]:
-    """The certified bracket for the first accumulation point of scl."""
-    return (Fraction(1, 12), Fraction(1, 2))
-
-
-def reznikov_min_tube_radius(core_length: float, dimension: int,
-                             c_n: float) -> float:
-    """Minimum tube radius from ``e^T >= C_n length^(-2/(n+1))``.
-
-    ``C_n`` is dimension-dependent and must be supplied; no normative value
-    ships with this package.  The returned radius is clamped at 0, where
-    the inequality becomes vacuous.
-    """
-    if not core_length > 0:
-        raise ValueError(f"core_length must be > 0, got {core_length}")
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
-    if not c_n > 0:
-        raise ValueError(f"C_n must be > 0, got {c_n}")
-    t = math.log(c_n) - (2 / (dimension + 1)) * math.log(core_length)
-    return max(t, 0.0)

@@ -266,10 +266,13 @@ def _commutator_value_index(rank: int, max_len: int):
     """Values of single commutators with both entries within ``max_len``,
     one per orbit of the signed letter permutations.
 
-    Returns (representatives in ``(len, bytes)`` order, their set), with
-    words packed as byte strings.  Since ``s[u, v] = [su, sv]``, it is
-    enough to let ``u`` range over canonical words.  The full value set is
-    closed under inversion because ``[u, v]^-1 = [v, u]``.
+    Returns the representatives packed as byte strings in ``(len, bytes)``
+    order, and ``bounds[length] = (lo, hi)``, the slice of each length.
+    Each length class is collected and sorted on its own (buckets of ``v``
+    below share a length too), so no set of every key is held.
+    Since ``s[u, v] = [su, sv]``, it is enough to let ``u`` range over
+    canonical words.  The full value set is closed under inversion because
+    ``[u, v]^-1 = [v, u]``.
 
     ``[u, v] = u v u^-1 v^-1`` can cancel only at its three junctions,
     and only if ``v`` begins with ``u[-1]^-1``, ends with ``u[-1]`` or ends
@@ -284,11 +287,10 @@ def _commutator_value_index(rank: int, max_len: int):
     relabelled only if it does not begin with the stem.
     """
     vocab = [_pack(c) for c in _codes_up_to(rank, max_len) if c]
-    ends: dict[tuple[int, int], list] = {}
+    ends: dict[tuple[int, int, int], list] = {}
     for v in vocab:
-        ends.setdefault((v[0], v[-1]), []).append((v, _inverse(v)))
-    seen: set[bytes] = set()
-    add = seen.add
+        ends.setdefault((v[0], v[-1], len(v)), []).append((v, _inverse(v)))
+    classes: dict[int, list] = {}
     for u in vocab:
         if _canon(u, rank) != u:
             continue
@@ -296,13 +298,14 @@ def _commutator_value_index(rank: int, max_len: int):
         first, last = u[0], u[-1]
         sig = _signature(u, rank)
         stem = u[:u.index(sig[-1]) + 1] if len(sig) == rank else None
-        for (f, l), bucket in ends.items():
+        for (f, l, m), bucket in ends.items():
             cancels_u_v = f + last == 2 * _PACK_OFFSET
             cancels_v_iu = l == last
             cancels_iu_iv = l + first == 2 * _PACK_OFFSET
             if stem is not None and not (
                     cancels_u_v or cancels_v_iu or cancels_iu_iv):
-                seen.update([u + v + iu + iv for v, iv in bucket])
+                classes.setdefault(2 * (len(u) + m), []).extend(
+                    [u + v + iu + iv for v, iv in bucket])
                 continue
             for v, iv in bucket:
                 c = _join(u, v) if cancels_u_v else u + v
@@ -310,18 +313,27 @@ def _commutator_value_index(rank: int, max_len: int):
                 c = _join(c, iu) if c and c[-1] == last else c + iu
                 c = _join(c, iv) if c[-1] == l else c + iv
                 if c:
-                    add(c if stem is not None and c.startswith(stem)
+                    classes.setdefault(len(c), []).append(
+                        c if stem is not None and c.startswith(stem)
                         else _canon(c, rank))
-    ordered = sorted(seen)
-    ordered.sort(key=len)
-    return ordered, seen
+    ordered: list[bytes] = []
+    bounds: dict[int, tuple[int, int]] = {}
+    for length in sorted(classes):
+        lo = len(ordered)
+        ordered += sorted(set(classes.pop(length)))
+        bounds[length] = (lo, len(ordered))
+    return ordered, bounds
 
 
-def _index_order(key: bytes):
-    return (len(key), key)
+def _indexed(ordered: list, bounds: dict, key: bytes) -> bool:
+    """Whether the canonical ``key`` is in the index: one bisection inside
+    its length class."""
+    lo, hi = bounds.get(len(key), (0, 0))
+    i = bisect_left(ordered, key, lo, hi)
+    return i < hi and ordered[i] == key
 
 
-def _prefix_range(ordered: list, rank: int, length: int,
+def _prefix_range(ordered: list, bounds: dict, rank: int, length: int,
                   prefix: bytes) -> list:
     """Words of the full value set of ``length`` that begin with ``prefix``,
     in index order.
@@ -333,9 +345,10 @@ def _prefix_range(ordered: list, rank: int, length: int,
     """
     sig = _signature(prefix, rank)
     head = prefix.translate(_canon_table(rank, sig))
-    lo = bisect_left(ordered, (length, head), key=_index_order)
+    lo, hi = bounds.get(length, (0, 0))
+    lo = bisect_left(ordered, head, lo, hi)
     # packed letters are below 0xff, so this bounds every extension
-    hi = bisect_left(ordered, (length, head + b"\xff"), key=_index_order)
+    hi = bisect_left(ordered, head + b"\xff", lo, hi)
     words = []
     for rep in ordered[lo:hi]:
         extra = len(_signature(rep, rank)) - len(sig)
@@ -371,7 +384,7 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
         raise SearchBudgetError(
             f"genus-2 search at rank {rank}, max_len {max_len} needs "
             f"{pairs} pairs; budget is {pair_budget}")
-    ordered, seen = _commutator_value_index(rank, max_len)
+    ordered, bounds = _commutator_value_index(rank, max_len)
     if not ordered:
         return None
     target = _pack(a.codes)
@@ -380,9 +393,9 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     best: Optional[bytes] = None
     head = target[:h]
     for length in range(len(head), longest + 1):
-        for key in _prefix_range(ordered, rank, length, head):
+        for key in _prefix_range(ordered, bounds, rank, length, head):
             rest = _join(_inverse(key), target)
-            if rest and _canon(rest, rank) in seen:
+            if rest and _indexed(ordered, bounds, _canon(rest, rank)):
                 best = key
                 break
         if best is not None:
@@ -391,10 +404,10 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     for length in range(len(tail), longest + 1):
         if best is not None and length > len(target) + len(best):
             break
-        for key in _prefix_range(ordered, rank, length, tail):
+        for key in _prefix_range(ordered, bounds, rank, length, tail):
             first = _join(target, key)
-            if _canon(first, rank) in seen and (
-                    best is None or _index_order(first) < _index_order(best)):
+            if _indexed(ordered, bounds, _canon(first, rank)) and (
+                    best is None or (len(first), first) < (len(best), best)):
                 best = first
     if best is None:
         return None

@@ -18,15 +18,12 @@ from scl_lab.hyperbolic_estimates import (
     TubeParams,
     genus_bound_from_meridian,
     hk_min_core_length,
-    ideal_triangle_area,
     length_gap_bound,
     nz_core_length,
     nz_quadratic_form,
     optimal_epsilon,
-    reznikov_min_tube_radius,
     scl_lower_from_tube,
     scl_upper_from_surgery,
-    spectral_gap_constants,
     surgery_bound_audit,
     surgery_length_bound,
     tube_area,
@@ -94,26 +91,6 @@ class TestTypes:
     def test_gap_params_margulis_must_be_positive(self, margulis):
         with pytest.raises(ValueError, match="Margulis constant must be > 0"):
             GapParams(100, 1, 0.05, margulis_n=margulis)
-
-
-class TestTriangle:
-    def test_ideal(self):
-        assert ideal_triangle_area(0, 0, 0) == math.pi
-
-    def test_right_triangle(self):
-        assert abs(ideal_triangle_area(math.pi / 2, math.pi / 4, 0) - math.pi / 4) < 1e-15
-
-    def test_euclidean_rejected(self):
-        with pytest.raises(ValueError):
-            ideal_triangle_area(math.pi / 3, math.pi / 3, math.pi / 3)
-        with pytest.raises(ValueError):
-            ideal_triangle_area(-0.1, 0, 0)
-
-    @pytest.mark.parametrize("angles", [(math.nan, 0, 0), (0, math.nan, 0),
-                                        (0, 0, math.nan)])
-    def test_nan_angle_rejected(self, angles):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ideal_triangle_area(*angles)
 
 
 class TestTubeFormulas:
@@ -392,30 +369,6 @@ class TestGapCalculators:
         caps = [0.05 * k for k in range(1, 20)]
         consts = [optimal_epsilon(c).min_constant for c in caps]
         assert all(b <= a + 1e-15 for a, b in zip(consts, consts[1:]))
-
-    def test_spectral_gap_constants(self):
-        assert spectral_gap_constants() == (Fraction(1, 12), Fraction(1, 2))
-
-
-class TestReznikov:
-    def test_requires_constant(self):
-        with pytest.raises(TypeError):
-            reznikov_min_tube_radius(0.01, 3)  # no default C_n exists
-
-    def test_formula(self):
-        t = reznikov_min_tube_radius(0.01, 3, 1.5)
-        assert abs(t - (math.log(1.5) + 0.5 * math.log(100))) < 1e-12
-
-    def test_clamped_at_zero(self):
-        assert reznikov_min_tube_radius(100.0, 3, 1.0) == 0.0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            reznikov_min_tube_radius(0, 3, 1.0)
-        with pytest.raises(ValueError):
-            reznikov_min_tube_radius(0.1, 1, 1.0)
-        with pytest.raises(ValueError):
-            reznikov_min_tube_radius(0.1, 3, 0)
 
 
 class TestDeterminism:

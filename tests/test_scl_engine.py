@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,6 +15,7 @@ from scl_lab import free_words, scl_engine
 from scl_lab.free_words import (
     ReducedWord,
     _codes_up_to,
+    _count_up_to,
     _cyclic_split,
     _cyclic_starts,
     _inv,
@@ -38,10 +41,12 @@ from scl_lab.scl_engine import (
     CommutatorCertificate,
     NotInCommutatorSubgroupError,
     SearchBudgetError,
+    _canon,
     _commutator_value_index,
     _genus_one_candidates,
     _genus_one_search,
     _genus_two_search,
+    _indexed,
     _pack,
     _prefix_range,
     _unpack,
@@ -559,8 +564,8 @@ class TestOrbitIndex:
     @pytest.mark.parametrize("rank,max_len", [
         (1, 4), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
     def test_orbits_expand_to_the_brute_force_values(self, rank, max_len):
-        ordered, seen = _commutator_value_index(rank, max_len)
-        assert ordered == sorted(seen, key=lambda k: (len(k), k))
+        ordered, bounds = _commutator_value_index(rank, max_len)
+        assert ordered == sorted(set(ordered), key=lambda k: (len(k), k))
         assert signed_permutation_images(ordered, rank) \
             == brute_force_values(rank, max_len)[1]
         # one word per orbit, the least in byte order
@@ -569,27 +574,85 @@ class TestOrbitIndex:
         assert all(k == min(signed_permutation_images([k], rank))
                    for k in ordered)
 
+    @pytest.mark.parametrize("rank,max_len", [
+        (1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (2, DEFAULT_MAX_LEN)])
+    def test_bounds_split_ordered_into_length_classes(self, rank, max_len):
+        ordered, bounds = _commutator_value_index(rank, max_len)
+        assert list(bounds) == sorted(bounds)
+        assert set(bounds) == {len(k) for k in ordered}
+        end = 0
+        for length, (lo, hi) in bounds.items():
+            assert lo == end < hi
+            assert {len(k) for k in ordered[lo:hi]} == {length}
+            assert all(x < y for x, y in zip(ordered[lo:hi],
+                                             ordered[lo + 1:hi]))
+            end = hi
+        assert end == len(ordered)
+
     def test_default_index_is_pinned(self):
         # recorded from the build that relabelled every value; the shared,
         # cached build of the default budget
-        ordered, seen = _commutator_value_index(2, DEFAULT_MAX_LEN)
+        ordered, bounds = _commutator_value_index(2, DEFAULT_MAX_LEN)
         assert len(ordered) == 231311
-        assert set(ordered) == seen
+        assert len(set(ordered)) == len(ordered)
+        assert bounds[4] == (0, 1) and bounds[24] == (181625, 231311)
         assert hashlib.sha256(b"\n".join(ordered)).hexdigest() == (
             "dc9d647fc3b2318f64e31361506097d6c6534a6696799f3b6e70f5046723e62f")
 
     @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
+    def test_membership_is_the_brute_force_membership(self, rank, max_len):
+        # every reduced word up to the longest value, 4 max_len, through
+        # the canonical form and one bisection in its length class; odd
+        # lengths and length 2 have no class
+        ordered, bounds = _commutator_value_index(rank, max_len)
+        _, full = brute_force_values(rank, max_len)
+        letters = [_pack((s * g,)) for g in range(1, rank + 1)
+                   for s in (1, -1)]
+        level, checked, hits = [b""], 0, 0
+        for length in range(1, 4 * max_len + 1):
+            grown = []
+            # packed inverse letters sum to 128
+            for word in (u + x for u in level for x in letters
+                         if not u or u[-1] + x[0] != 128):
+                found = _indexed(ordered, bounds, _canon(word, rank))
+                assert found == (word in full), word
+                hits += found
+                checked += 1
+                if length < 4 * max_len:
+                    grown.append(word)
+            level = grown
+        assert hits == len(full)
+        assert checked == _count_up_to(rank, 4 * max_len) - 1
+
+    @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
     def test_prefix_ranges_are_the_sorted_full_ranges(self, rank, max_len):
-        ordered, _ = _commutator_value_index(rank, max_len)
+        ordered, bounds = _commutator_value_index(rank, max_len)
         full, _ = brute_force_values(rank, max_len)
         lengths = sorted({len(k) for k in full})
         for codes in _codes_up_to(rank, 3):
             prefix = _pack(codes)
-            for length in lengths:
+            for length in [1, 2, 3] + lengths + [lengths[-1] + 2]:
                 expected = [k for k in full
                             if len(k) == length and k.startswith(prefix)]
-                assert _prefix_range(ordered, rank, length, prefix) \
+                assert _prefix_range(ordered, bounds, rank, length, prefix) \
                     == expected, (codes, length)
+
+    def test_build_keeps_only_the_sorted_keys(self):
+        # what the build leaves allocated is the key list with its keys
+        # and the bounds; a hash set of every key would add about 150 %
+        build = _commutator_value_index.__wrapped__
+        build(2, 5)  # fills the helper caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ordered, bounds = build(2, 5)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ordered) == 23561
+        floor = (sum(map(sys.getsizeof, ordered)) + sys.getsizeof(ordered)
+                 + sys.getsizeof(bounds))
+        assert abs(kept / floor - 1) <= 0.05, (kept, floor)
 
 
 class TestLowerBounds:
