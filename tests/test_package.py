@@ -1,5 +1,9 @@
 """The package exports exactly the names its layer modules export."""
 
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
 import scl_lab
@@ -44,6 +48,15 @@ HAND_LISTED = [
 ]
 
 
+#: the first column of the README's table of removed public names
+REMOVED = [
+    "sol_scl_report", "SolSclReport", "SolCertificateError", "WitnessError",
+    "DefectCertificateError", "SUBDIVISIONS", "CircleLift.principal",
+    "ideal_triangle_area", "spectral_gap_constants",
+    "reznikov_min_tube_radius",
+]
+
+
 def test_package_list_is_the_module_lists():
     assert scl_lab.__all__ == ["__version__",
                                *(name for mod in LAYERS for name in mod.__all__)]
@@ -61,3 +74,25 @@ def test_hand_listed_names_are_still_exported():
     missing = [name for name in HAND_LISTED if name not in scl_lab.__all__]
     assert missing == []
 
+
+
+def test_readme_lists_the_removed_names():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| removed | use instead |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("| "),
+                               lines[start:])
+    assert [name for row in rows
+            for name in re.findall(r"`([^`]+)`", row.split(" | ")[0])] \
+        == REMOVED
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        assert not hasattr(getattr(scl_lab, owner), attr)
+    else:
+        assert name not in scl_lab.__all__
+        assert not hasattr(scl_lab, name)
+        assert not [mod.__name__ for mod in LAYERS if hasattr(mod, name)]
