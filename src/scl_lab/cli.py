@@ -91,7 +91,7 @@ PROG = "scl-lab"
 def _real(x: float) -> float:
     """Round to 12 significant digits so records are stable across runs."""
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x} cannot be written as JSON")
+        raise OverflowError(f"non-finite value {x} cannot be written as JSON")
     return float(f"{x:.12g}")
 
 
@@ -611,12 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tube quasimorphism value and scl lower bound")
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.set_defaults(handler=_cmd_tube)
+    p.set_defaults(handler=_cmd_tube, floats=("length", "radius"))
 
     p = sub.add_parser("hk", parents=[common],
                        help="minimum core length for an embedded tube")
     p.add_argument("--radius", type=float, required=True)
-    p.set_defaults(handler=_cmd_hk)
+    p.set_defaults(handler=_cmd_hk, floats=("radius",))
 
     p = sub.add_parser("surgery-a", parents=[common],
                        help="filled-core length bound and scl upper bound")
@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meridian-length", type=float, required=True)
     p.add_argument("--variant", choices=("basic", "boroczky"),
                    default="basic")
-    p.set_defaults(handler=_cmd_surgery_b)
+    p.set_defaults(handler=_cmd_surgery_b, floats=("meridian_length",))
 
     p = sub.add_parser("nz", parents=[common],
                        help="cusp quadratic form and filled-core length")
@@ -707,6 +707,10 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{PROG}: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        if not isinstance(exc, ValueError) and hasattr(args, "floats"):
+            exc = "out of float range at " + ", ".join(
+                f"--{name.replace('_', '-')} {getattr(args, name)!r}"
+                for name in args.floats)
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     _emit(records, args.table)

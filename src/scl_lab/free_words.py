@@ -472,10 +472,12 @@ def _cyclic_copy_rate(starts: Sequence[int], k: int, L: int
     copies; over the cycle it then follows, ``c`` copies span ``D`` letters,
     and the limit is exactly ``c |a| / D``, returned as the integer pair
     ``(c |a|, D)``.  Each step bisects for the next occurrence, so a walk
-    costs one step per restart state.
+    costs one step per restart state; a lone start with ``k <= L`` none.
     """
     if not starts:
         return 0, 1
+    if len(starts) == 1 and k <= L:
+        return L, L
     seen: dict[int, tuple[int, int]] = {}
     r = copies = span = 0
     while r not in seen:

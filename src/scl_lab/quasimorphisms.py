@@ -102,15 +102,12 @@ def brooks(w: ReducedWord) -> QuasimorphismHandle:
         defect_certificate=BROOKS_DEFECT)
 
 
-def _homogeneous_value(starts: dict, codes: tuple[int, ...], L: int
+def _homogeneous_value(rate: tuple[int, int], inverse_rate: tuple[int, int]
                        ) -> tuple[int, int]:
-    """``rate(w) - rate(w^-1)`` for the pattern ``w = codes``, read from the
-    table ``_cyclic_starts(core, len(codes))`` of a nonempty core of
-    length ``L``, as an unreduced integer pair ``(numerator, denominator)``
-    with a positive denominator."""
-    k = len(codes)
-    n1, d1 = _cyclic_copy_rate(starts.get(codes, ()), k, L)
-    n2, d2 = _cyclic_copy_rate(starts.get(_inv(codes), ()), k, L)
+    """``rate(w) - rate(w^-1)`` from the ``_cyclic_copy_rate`` pairs of a
+    pattern ``w`` and of its inverse on one core, as an unreduced integer
+    pair ``(numerator, denominator)`` with a positive denominator."""
+    (n1, d1), (n2, d2) = rate, inverse_rate
     return n1 * d2 - n2 * d1, d1 * d2
 
 
@@ -131,8 +128,11 @@ def brooks_homogeneous_exact(w: ReducedWord,
         return Fraction(0)
     if w.rank != core.rank:
         raise RankMismatchError(f"rank {w.rank} vs rank {core.rank}")
+    k, L = len(w.codes), core.length
+    starts = _cyclic_starts(core.codes, k)
     return Fraction(*_homogeneous_value(
-        _cyclic_starts(core.codes, len(w.codes)), w.codes, core.length))
+        _cyclic_copy_rate(starts.get(w.codes, ()), k, L),
+        _cyclic_copy_rate(starts.get(_inv(w.codes), ()), k, L)))
 
 
 def brooks_homogeneous(w: ReducedWord) -> QuasimorphismHandle:

@@ -23,6 +23,7 @@ from .free_words import (
     ReducedWord,
     _codes_up_to,
     _count_up_to,
+    _cyclic_copy_rate,
     _cyclic_split,
     _cyclic_starts,
     _inv,
@@ -472,15 +473,13 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
 # lower bounds: Bavard duality for counting quasimorphisms
 
 def _default_patterns(core: CyclicWord):
-    """Yield ``(table, patterns)`` for the default patterns of a cyclic core,
-    by length k = 2..min(6, |core|): the cyclic subwords of the core, which
-    are the keys of ``_cyclic_starts(root, k)`` on its primitive root, and
-    at k = 2 every reduced two-letter word of the rank (a superset)."""
+    """Yield ``(k, table)`` by length k = 2..min(6, |core|) for a cyclic
+    core: the table ``_cyclic_starts(root, k)`` on its primitive root, whose
+    keys are the default patterns of length k, the core's cyclic subwords.
+    At k = 2 every reduced two-letter word of the rank is a pattern too."""
     root = core.codes[:core.period]
     for k in range(2, max(2, min(6, core.length)) + 1):
-        starts = _cyclic_starts(root, k) if root else {}
-        yield starts, (starts.keys() if k > 2 else
-                       [c for c in _codes_up_to(core.rank, 2) if len(c) == 2])
+        yield k, (_cyclic_starts(root, k) if root else {})
 
 
 def default_brooks_dictionary(a: Union[ReducedWord, CyclicWord]
@@ -492,10 +491,10 @@ def default_brooks_dictionary(a: Union[ReducedWord, CyclicWord]
     deterministic.  A ``CyclicWord`` is taken as the core already.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
-    return tuple(sorted(
-        (ReducedWord(a.rank, codes, _trusted=True)
-         for _, patterns in _default_patterns(core) for codes in patterns),
-        key=word_sort_key))
+    patterns = {c for c in _codes_up_to(core.rank, 2) if len(c) == 2}
+    patterns.update(*(starts for _, starts in _default_patterns(core)))
+    return tuple(sorted((ReducedWord(a.rank, codes, _trusted=True)
+                         for codes in patterns), key=word_sort_key))
 
 
 def scl_lower_bavard(a: Union[ReducedWord, CyclicWord]
@@ -508,25 +507,30 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord]
     pattern in ``word_sort_key`` order that attains it (None when every
     value vanishes).  A ``CyclicWord`` is taken as the core already.
 
-    The scan walks the tables of ``_default_patterns``, which lie on the
-    primitive root ``r`` of the core ``r^m``: ``fbar(r^m) = m fbar(r)``
-    scales every value alike.  Each value is the integer pair of
-    ``_homogeneous_value``, compared by cross-multiplication.
+    The scan walks each key of the ``_default_patterns`` tables once, on
+    the primitive root ``r`` of the core ``r^m`` (``fbar(r^m) = m fbar(r)``),
+    and reads its inverse as a slice of the inverted root.  The values are
+    ``_homogeneous_value`` pairs; other two-letter words have value 0.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
     L, p = core.length, core.period
     if not L:
         return Fraction(0), None
-    best_n, best_d, best = 0, 1, ()
-    for starts, patterns in _default_patterns(core):
-        for codes in patterns:
-            num, den = _homogeneous_value(starts, codes, p)
+    best_n, best_d, best, best_key = 0, 1, (), ()
+    inverse = _inv(core.codes[:p]) * (1 + (p + 4) // p)  # windows up to 6
+    for k, starts in _default_patterns(core):
+        rates = {c: _cyclic_copy_rate(s, k, p) for c, s in starts.items()}
+        for codes, s in starts.items():
+            inv = inverse[(j := (p - s[0] - k) % p):j + k]
+            num, den = _homogeneous_value(rates[codes], rates.get(inv, (0, 1)))
             num = abs(num)
             gain = num * best_d - best_n * den
-            if gain > 0 or (gain == 0 and num and (
-                    (len(codes), _word_key(codes))
-                    < (len(best), _word_key(best)))):
-                best_n, best_d, best = num, den, codes
+            if num and gain >= 0:
+                if k == 2 and inv not in rates:  # a two-letter pattern too
+                    codes = min(codes, inv, key=_word_key)
+                key = (k, _word_key(codes))
+                if gain or key < best_key:
+                    best_n, best_d, best, best_key = num, den, codes, key
     witness = ReducedWord(core.rank, best, _trusted=True) if best else None
     return (Fraction(best_n * (L // p), best_d * 2 * HOMOGENEOUS_BROOKS_DEFECT),
             witness)
@@ -626,8 +630,8 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
                          lower=None, upper=None)
     core, _ = cyclically_reduce(a)
     lower, witness = scl_lower_bavard(core)
-    dictionary_size = sum(
-        len(patterns) for _, patterns in _default_patterns(core))
+    dictionary_size = 2 * a.rank * (2 * a.rank - 1) + sum(
+        len(starts) for k, starts in _default_patterns(core) if k > 2)
     flags: list[str] = []
     if lower >= HOMOLOGICAL_MARGULIS_CONSTANT:
         flags.append("above-homological-margulis-constant")

@@ -682,11 +682,36 @@ def test_float_failure_is_invalid_input(capsys, argv):
     assert captured.err.startswith("scl-lab: error: ")
 
 
+#: float calculator inputs out of float range, and the flags that say so
+FLOAT_OVERFLOWS = [
+    (("tube", "--length", "1e-300", "--radius", "1e300"),
+     "--length 1e-300, --radius 1e+300"),
+    (("tube", "--length", "inf", "--radius", "2"), "--length inf, --radius 2.0"),
+    (("hk", "--radius", "1000"), "--radius 1000.0"),
+    (("surgery-b", "--meridian-length", "1e308"), "--meridian-length 1e+308"),
+    (("surgery-b", "--meridian-length", "1e-320"), "--meridian-length 1e-320"),
+    (("surgery-b", "--meridian-length", "1e-160"), "--meridian-length 1e-160"),
+]
+
+
+@pytest.mark.parametrize("argv,flags", FLOAT_OVERFLOWS,
+                         ids=[" ".join(argv) for argv, _ in FLOAT_OVERFLOWS])
+def test_float_overflow_names_the_flags(capsys, argv, flags):
+    # an overflow, a divisor that underflows to 0 and an infinite result
+    # each name the flags, not Python's own message
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"scl-lab: error: out of float range at {flags}\n"
+
+
 @pytest.mark.parametrize("argv,reason", [
     (("nz", "--meridian", "nan,0", "--longitude", "0,1", "--p", "5",
       "--q", "1"), "cusp area nan is not normalized to 1 within 1e-09"),
     (("surgery-a", "--chi", "-1", "--radius", "nan", "--p", "3"),
      "radius must be >= 2.001, got nan"),
+    (("surgery-b", "--meridian-length", "nan"),
+     "meridian length must be > 0, got nan"),
 ])
 def test_nan_input_fails_its_validation(capsys, argv, reason):
     # the calculator's own check names the input, not the JSON writer

@@ -363,6 +363,29 @@ class TestCounting:
             core, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(1, 8)))
             if core.length:
                 cases.append((wc, core))
+        # one start: every prefix of r r r ... of 2 to 6 letters on a
+        # primitive root r of 1 to 5 letters, so also patterns longer than
+        # r, which overlap their own next copy
+        roots = set()
+        while len(roots) < 40:
+            root, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(1, 6)))
+            text = str(root)
+            if root.length and (text * 2).find(text, 1) == len(text):
+                roots.add(text)
+        for text in sorted(roots):
+            cases += [(w((text * 6)[:k]), CyclicWord(2, w(text).codes))
+                      for k in range(2, 7)]
+        assert any(len(text) == 1 for text in roots)
+        # one start no longer than the core
+        lone = 0
+        while lone < 150:
+            core, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(2, 9)))
+            text = str(core)
+            for k in range(2, min(6, len(text)) + 1):
+                windows = [(text * 2)[i:i + k] for i in range(len(text))]
+                once = [x for x in windows if windows.count(x) == 1]
+                cases += [(w(x), core) for x in once]
+                lone += len(once)
         for wc, core in cases:
             assert count_disjoint_copies_cyclic(wc, core) == oracle(wc, core), (str(wc), str(core))
 

@@ -780,6 +780,21 @@ class TestBavardScan:
         for a in corpus:
             assert scl_lower_bavard(a) == per_pattern_bavard(a), str(a)
 
+    def test_matches_full_two_letter_table_at_ranks_3_to_6(self):
+        # the scan walks only the core's two-letter subwords and their
+        # inverses; the reference tries every two-letter word of the rank
+        rng = random.Random(2006)
+        corpus = [w(text, rank=3) for text in ("AB", "ab", "Ab", "cB", "cc")]
+        for rank in (3, 4, 5, 6):
+            for _ in range(12):
+                corpus.append(random_reduced(rng, rank, rng.randrange(1, 30)))
+                corpus.append(ReducedWord(rank, random_reduced(
+                    rng, 2, rng.randrange(1, 12)).codes))
+            corpus += [power(primitive_root(rng, rank, n), rng.randrange(2, 5))
+                       for n in (1, 2, 3, 7)]
+        for a in corpus:
+            assert scl_lower_bavard(a) == per_pattern_bavard(a), str(a)
+
     def test_pinned_bounds_and_witnesses(self):
         # recorded from the scan that built one Fraction per pattern
         lines = [f"{bound}|{witness}".encode() for bound, witness
@@ -964,6 +979,34 @@ class TestSclReport:
             assert rep.dictionary_size == len(default_brooks_dictionary(a))
             assert (rep.lower, rep.lower_witness) == scl_lower_bavard(a)
         assert scl_report(w("[a,b]")).dictionary_size == 20
+
+    @pytest.mark.parametrize("rank", [2, 3, 6, 100])
+    def test_dictionary_size_counts_every_two_letter_word(self, rank):
+        rng = random.Random(rank)
+        corpus = [power(commutator(*(random_reduced(rng, rank, rng.randrange(
+            1, 5)) for _ in range(2))), rng.randrange(1, 4)) for _ in range(12)]
+        for a in (a for a in corpus if not a.is_identity()):
+            core, _ = cyclically_reduce(a)
+            doubled = core.codes * 2
+            longer = {doubled[i:i + k] for k in range(3, min(6, len(core)) + 1)
+                      for i in range(len(core))}
+            rep = scl_report(a, n_max=1, max_genus=0)
+            assert rep.dictionary_size == 2 * rank * (2 * rank - 1) \
+                + len(longer), str(a)
+
+    def test_rank_1000_report_lists_no_two_letter_table(self, monkeypatch):
+        # _codes_up_to(1000, 2) holds four million tuples, about 350 MB
+        real = free_words._codes_up_to
+
+        def spy(rank, max_len):
+            assert max_len < 2, f"_codes_up_to({rank}, {max_len})"
+            return real(rank, max_len)
+
+        for module in (free_words, scl_engine):
+            monkeypatch.setattr(module, "_codes_up_to", spy)
+        rep = scl_report(w("[a,b]", rank=1000))
+        assert (rep.lower, rep.upper) == (Fraction(1, 12), Fraction(1, 2))
+        assert rep.dictionary_size == 2000 * 1999 + 8
 
     def test_conjugation_invariance_of_lower_bound(self):
         from scl_lab.free_words import conjugate
