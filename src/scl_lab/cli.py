@@ -8,7 +8,8 @@ floats); real numbers are rounded to 12 significant digits.  Exit codes:
 3 inconclusive: a search budget ran out, or no Sol decomposition profile
 certifies for the matrix.  Codes 1 and 3 come from the ``SclLabError``
 raised; every other ``ValueError``, and any ``OverflowError`` or
-``ZeroDivisionError`` of a float calculator, is invalid input.
+``ZeroDivisionError`` of a float calculator, is invalid input; the latter
+two name every float flag the command was given.
 
 Every setting is a flag of the commands that read it: the search budgets
 belong to ``scl`` and ``cl`` (defaults from ``scl_engine``), ``--seed`` to
@@ -215,12 +216,12 @@ def _cmd_brooks(args):
     handle = brooks_homogeneous(pattern) if args.homogeneous else brooks(pattern)
     value = handle(word)
     result = {"name": handle.name,
-              "defect_certificate": int(handle.defect_certificate)}
+              "defect_certificate": handle.defect_certificate}
     if isinstance(value, Fraction):
         result["value"] = _frac(value)
         result["value_decimal"] = _real(float(value))
     else:
-        result["value"] = int(value)
+        result["value"] = value
     inputs = {"pattern": args.pattern, "word": args.word, "rank": args.rank,
               "homogeneous": bool(args.homogeneous)}
     return [_record("brooks", inputs, result)], 0
@@ -234,10 +235,10 @@ def _cmd_defect(args):
     observed = scan.observed
     result = {
         "observed": _frac(observed) if isinstance(observed, Fraction)
-        else int(observed),
+        else observed,
         "mode": scan.mode,
         "pairs_checked": scan.pairs_checked,
-        "defect_certificate": int(handle.defect_certificate),
+        "defect_certificate": handle.defect_certificate,
     }
     inputs = {"pattern": args.pattern, "rank": args.rank,
               "homogeneous": bool(args.homogeneous),
@@ -611,12 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tube quasimorphism value and scl lower bound")
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.set_defaults(handler=_cmd_tube, floats=("length", "radius"))
+    p.set_defaults(handler=_cmd_tube)
 
     p = sub.add_parser("hk", parents=[common],
                        help="minimum core length for an embedded tube")
     p.add_argument("--radius", type=float, required=True)
-    p.set_defaults(handler=_cmd_hk, floats=("radius",))
+    p.set_defaults(handler=_cmd_hk)
 
     p = sub.add_parser("surgery-a", parents=[common],
                        help="filled-core length bound and scl upper bound")
@@ -631,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meridian-length", type=float, required=True)
     p.add_argument("--variant", choices=("basic", "boroczky"),
                    default="basic")
-    p.set_defaults(handler=_cmd_surgery_b, floats=("meridian_length",))
+    p.set_defaults(handler=_cmd_surgery_b)
 
     p = sub.add_parser("nz", parents=[common],
                        help="cusp quadratic form and filled-core length")
@@ -707,10 +708,11 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{PROG}: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        if not isinstance(exc, ValueError) and hasattr(args, "floats"):
-            exc = "out of float range at " + ", ".join(
-                f"--{name.replace('_', '-')} {getattr(args, name)!r}"
-                for name in args.floats)
+        floats = [f"--{name.replace('_', '-')} {value!r}"
+                  for name, value in vars(args).items()
+                  if isinstance(value, float)]
+        if floats and not isinstance(exc, ValueError):
+            exc = "out of float range at " + ", ".join(floats)
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     _emit(records, args.table)

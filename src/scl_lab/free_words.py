@@ -27,7 +27,6 @@ __all__ = [
     "concat",
     "invert",
     "power",
-    "conjugate",
     "commutator",
     "cyclically_reduce",
     "abelianization",
@@ -382,12 +381,6 @@ def invert(u: ReducedWord) -> ReducedWord:
 def power(u: ReducedWord, n: int) -> ReducedWord:
     codes = u.codes if n >= 0 else _inv(u.codes)
     return ReducedWord(u.rank, _reduce(codes * abs(n)), _trusted=True)
-
-
-def conjugate(u: ReducedWord, c: ReducedWord) -> ReducedWord:
-    """``c u c^-1``."""
-    rank = _same_rank(u, c)
-    return ReducedWord(rank, _reduce(c.codes + u.codes + _inv(c.codes)), _trusted=True)
 
 
 def commutator(u: ReducedWord, v: ReducedWord) -> ReducedWord:

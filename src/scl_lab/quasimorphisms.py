@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import AuditError
 from .free_words import (
@@ -32,7 +32,6 @@ from .free_words import (
     cyclically_reduce,
     enumerate_reduced_words,
     invert,
-    power,
 )
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "brooks",
     "brooks_homogeneous",
     "brooks_homogeneous_exact",
-    "symmetrize",
-    "homogenize_estimate",
     "DefectScan",
     "defect_observed",
     "DET_TOL",
@@ -55,7 +52,7 @@ __all__ = [
     "rotation_number",
 ]
 
-Value = Union[int, float, Fraction]
+Value = Union[int, Fraction]
 
 #: Certified defect bound for a plain counting quasimorphism built on
 #: disjoint-copy counts.
@@ -68,16 +65,16 @@ HOMOGENEOUS_BROOKS_DEFECT = 6
 
 @dataclass(frozen=True)
 class QuasimorphismHandle:
-    """A quasimorphism as an evaluator plus an optional certified defect.
+    """A quasimorphism as an evaluator plus a certified defect.
 
     ``defect_certificate`` is an upper bound on the defect that holds by
-    construction, not an observation; ``None`` means no bound is claimed.
+    construction, not an observation.
     """
 
     name: str
     rank: int
     evaluate: Callable[[ReducedWord], Value]
-    defect_certificate: Optional[Value] = None
+    defect_certificate: int
 
     def __call__(self, a: ReducedWord) -> Value:
         return self.evaluate(a)
@@ -148,49 +145,6 @@ def brooks_homogeneous(w: ReducedWord) -> QuasimorphismHandle:
         defect_certificate=HOMOGENEOUS_BROOKS_DEFECT)
 
 
-def symmetrize(handle: QuasimorphismHandle) -> QuasimorphismHandle:
-    """Antisymmetric part ``a -> (f(a) - f(a^-1)) / 2``.
-
-    Does not increase the defect, so the certificate carries over.
-    """
-
-    def evaluate(a: ReducedWord) -> Value:
-        diff = handle.evaluate(a) - handle.evaluate(invert(a))
-        if isinstance(diff, float):
-            return diff / 2
-        return Fraction(diff, 2)
-
-    return QuasimorphismHandle(
-        name=f"sym[{handle.name}]", rank=handle.rank, evaluate=evaluate,
-        defect_certificate=handle.defect_certificate)
-
-
-class HomogenizationEstimate(NamedTuple):
-    value: Value
-    error_bound: Optional[Value]
-
-
-def homogenize_estimate(handle: QuasimorphismHandle, a: ReducedWord,
-                        n: int) -> HomogenizationEstimate:
-    """Estimate the homogenization at ``a`` by ``f(a^n) / n``.
-
-    The true homogenized value differs from the estimate by at most
-    ``defect / n`` whenever a defect certificate is available.
-    """
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    raw = handle.evaluate(power(a, n))
-    value = raw / n if isinstance(raw, float) else Fraction(raw, n)
-    d = handle.defect_certificate
-    if d is None:
-        error: Optional[Value] = None
-    elif isinstance(d, float):
-        error = d / n
-    else:
-        error = Fraction(d, n)
-    return HomogenizationEstimate(value, error)
-
-
 class DefectScan(NamedTuple):
     observed: Value
     mode: str
@@ -242,7 +196,7 @@ def defect_observed(handle: QuasimorphismHandle, max_len: int, *,
             if d > best:
                 best = d
     cert = handle.defect_certificate
-    if cert is not None and best > cert:
+    if best > cert:
         raise AuditError(
             f"observed defect {best} exceeds certified bound {cert} "
             f"for {handle.name}")

@@ -130,12 +130,13 @@ def _genus_one_search(a: ReducedWord, max_len: int):
     Conjugates share a cyclic core K up to rotation, and if
     ``u^-1 = c1 K c1^-1`` and ``u^-1 a = c2 K c2^-1``, the solutions are
     the coset ``v_k = c2 root^k c1^-1`` of the cyclic centralizer of u.
-    The primitive root of K, of period p, is cyclically reduced, so
-    ``|v_k| >= |k| p - |c1| - |c2| > max_len`` for ``|k|`` past
-    ``(max_len + |c1| + |c2|) // p``.  Stopping there, or at the older
-    window ``max_len + |v_0| + 2`` if smaller, keeps the v that window
-    chose.  Factors are reduced, so products cancel only at junctions;
-    distinct k give distinct words, so the shortest, least v_k is unique.
+    Since ``v_k = v_0 (c1 root^k c1^-1)`` and a conjugate of the
+    cyclically reduced ``root^k`` has at least ``|k| p`` letters, where p
+    is the period of the primitive root of K,
+    ``|v_k| >= |k| p - |v_0| > max_len`` for ``|k|`` past
+    ``(max_len + |v_0|) // p``, so stopping there keeps the shortest v.
+    Factors are reduced, so products cancel only at junctions; distinct k
+    give distinct words, so the shortest, least v_k is unique.
 
     Only the candidates of ``_genus_one_candidates`` can pass.  With ``c``
     the common prefix length of u and a, ``t = u^-1 a`` reduces to
@@ -166,8 +167,7 @@ def _genus_one_search(a: ReducedWord, max_len: int):
         c1_inv = _inv(c1_raw + core_u[:i])
         c2_t = c2_raw + core_t[:j]
         root, root_inv = canon_u[:p], _inv(canon_u[:p])
-        K = min(max_len + len(_join_codes(c2_t, c1_inv)) + 2,
-                (max_len + len(c1_inv) + len(c2_t)) // p)
+        K = (max_len + len(_join_codes(c2_t, c1_inv))) // p
         vks = [_join_codes(_join_codes(
             c2_t, root * k if k >= 0 else root_inv * -k), c1_inv)
             for k in range(-K, K + 1)]

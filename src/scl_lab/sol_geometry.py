@@ -33,11 +33,8 @@ __all__ = [
     "SolMembershipError",
     "AnosovMatrix",
     "SolElement",
-    "SOL_IDENTITY_T",
     "sol_mul",
     "sol_inverse",
-    "sol_power",
-    "sol_conjugate",
     "sol_commutator",
     "membership_commutator_subgroup",
     "membership_witness_rational",
@@ -124,9 +121,6 @@ class SolElement:
         object.__setattr__(self, "t", int(self.t))
 
 
-SOL_IDENTITY_T = SolElement((0, 0), 0)
-
-
 # the group law on (v0, v1, t) int triples, for the flat matrix entries m
 def _mul(m, x, y):
     p0, p1, p2, p3 = _matrix_power(m, x[2])
@@ -152,25 +146,6 @@ def sol_mul(A: AnosovMatrix, x: SolElement, y: SolElement) -> SolElement:
 def sol_inverse(A: AnosovMatrix, x: SolElement) -> SolElement:
     v0, v1, t = _inv(A.flat, (*x.v, x.t))
     return SolElement((v0, v1), t)
-
-
-def sol_power(A: AnosovMatrix, x: SolElement, n: int) -> SolElement:
-    """``x^n`` by repeated squaring: O(log |n|) products."""
-    base = x if n >= 0 else sol_inverse(A, x)
-    out = SOL_IDENTITY_T
-    n = abs(n)
-    while n:
-        if n & 1:
-            out = sol_mul(A, out, base)
-        n >>= 1
-        if n:
-            base = sol_mul(A, base, base)
-    return out
-
-
-def sol_conjugate(A: AnosovMatrix, x: SolElement, c: SolElement) -> SolElement:
-    """``c x c^-1``."""
-    return sol_mul(A, sol_mul(A, c, x), sol_inverse(A, c))
 
 
 def sol_commutator(A: AnosovMatrix, x: SolElement, y: SolElement) -> SolElement:

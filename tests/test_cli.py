@@ -691,6 +691,11 @@ FLOAT_OVERFLOWS = [
     (("surgery-b", "--meridian-length", "1e308"), "--meridian-length 1e+308"),
     (("surgery-b", "--meridian-length", "1e-320"), "--meridian-length 1e-320"),
     (("surgery-b", "--meridian-length", "1e-160"), "--meridian-length 1e-160"),
+    (("gap", "--m", "100", "--genus", "1", "--epsilon", "1e-320"),
+     "--epsilon 1e-320"),
+    (("gap", "--optimal", "--cap", "1e-320"), "--cap 1e-320"),
+    (("surgery-a", "--chi", "-2", "--radius", "1e308", "--p", "5"),
+     "--radius 1e+308"),
 ]
 
 

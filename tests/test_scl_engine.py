@@ -23,7 +23,6 @@ from scl_lab.free_words import (
     _reduce,
     _word_key,
     commutator,
-    conjugate,
     cyclically_reduce,
     enumerate_reduced_words,
     parse_word,
@@ -423,9 +422,11 @@ def window_corpus(rng, rank, max_len, count):
 
 
 def swept_windows(a, max_len):
-    """``(max_len + |v_0| + 2, (max_len + |c1| + |c2|) // p, p, |core u|,
-    |c1| + |c2|)`` for each coset ``_genus_one_search(a, max_len)``
-    sweeps, computed with ``_reduce`` on whole words."""
+    """``((max_len + |v_0|) // p, max_len + |v_0| + 2,
+    (max_len + |c1| + |c2|) // p, p, |core u|, |c1| + |c2|)`` for each
+    coset ``_genus_one_search(a, max_len)`` sweeps: its window, the two
+    older windows and the shape of the coset, computed with ``_reduce`` on
+    whole words."""
     found = _genus_one_search(a, max_len)
     out = []
     for u in _genus_one_candidates(a.rank, a.codes, max_len):
@@ -439,7 +440,8 @@ def swept_windows(a, max_len):
             continue
         c1, c2 = c1 + core_u[:i], c2 + core_t[:j]
         conj = len(c1) + len(c2)
-        out.append((max_len + len(_reduce(c2 + _inv(c1))) + 2,
+        v0 = len(_reduce(c2 + _inv(c1)))
+        out.append(((max_len + v0) // p, max_len + v0 + 2,
                     (max_len + conj) // p, p, len(core_u), conj))
         if found is not None and found[0].codes == u:
             break
@@ -475,14 +477,14 @@ class TestGenusOneCandidates:
     def test_matches_full_sweep_at_the_window_edges(self):
         # u = h r^m h^-1 is a proper power (p < |core u|), and half the
         # targets are conjugated by g = h r^j w with 6 to 8 letters in w,
-        # which makes |c1| + |c2| large; the corpus must reach both sides
-        # of min(old window, length bound).  The old window is the smaller
-        # for u = h x^2 h^-1 with |h| = 2 and [u, v] = a: then c1 = h,
-        # c2 = v h and v_0 = v, so max_len + |v| + 2 < max_len + |v| + 4
+        # which makes |c1| + |c2| large; the corpus must reach cases where
+        # the window (max_len + |v_0|) // p is strictly below each older
+        # one: max_len + |v_0| + 2 and (max_len + |c1| + |c2|) // p
         targets = [(parse_word(text, rank), 6) for text, rank in (
             ("[abaaBA,b]", 2), ("[abaaBA,bab]", 2), ("[baBBAB,aBa]", 2),
             ("[abccBA,cab]", 3), ("[acbbCA,b]", 3))]
-        seen = {"old window smaller": 0, "length bound smaller": 0,
+        seen = {"below max_len + |v_0| + 2": 0,
+                "below (max_len + |c1| + |c2|) // p": 0,
                 "proper power": 0, "|c1| + |c2| >= 6": 0, "hit": 0}
         for rank, max_len, count in ((2, 2, 20), (2, 3, 20), (2, 4, 20),
                                      (2, 5, 20), (2, 6, 30), (3, 2, 20),
@@ -495,9 +497,10 @@ class TestGenusOneCandidates:
             expected = full_sweep_genus_one(a, max_len)
             assert _genus_one_search(a, max_len) == expected, str(a)
             seen["hit"] += expected is not None
-            for old, bound, p, core, conj in swept_windows(a, max_len):
-                seen["old window smaller"] += old < bound
-                seen["length bound smaller"] += bound < old
+            for window, old, bound, p, core, conj in swept_windows(
+                    a, max_len):
+                seen["below max_len + |v_0| + 2"] += window < old
+                seen["below (max_len + |c1| + |c2|) // p"] += window < bound
                 seen["proper power"] += p < core
                 seen["|c1| + |c2| >= 6"] += conj >= 6
         assert all(seen.values()), seen
@@ -742,13 +745,15 @@ def primitive_root(rng, rank, length):
 def conjugated_powers(rng):
     """Conjugated proper powers whose primitive root is shorter than,
     exactly or longer than the 6 letters of the longest default pattern."""
-    corpus = [conjugate(power(w("a", rank=1), k), w("a" * c, rank=1))
+    x = w("a", rank=1)
+    corpus = [power(x, c) * power(x, k) * ~power(x, c)
               for k in (2, 5, 9) for c in (0, 2)]
     for rank in (2, 3):
         for length in (2, 3, 5, 6, 6, 7, 9, 13):
             root = primitive_root(rng, rank, length)
-            corpus.append(conjugate(power(root, rng.randrange(2, 8)),
-                                    random_reduced(rng, rank, rng.randrange(4))))
+            a = power(root, rng.randrange(2, 8))
+            c = random_reduced(rng, rank, rng.randrange(4))
+            corpus.append(c * a * ~c)
     return corpus
 
 
@@ -762,7 +767,7 @@ def pinned_bavard_corpus():
         root = random_reduced(rng, rank, rng.randrange(1, 13))
         conj = random_reduced(rng, rank, rng.randrange(0, 4))
         k = rng.choice((1, 1, 2, 3, 4, 5))
-        corpus.append(conjugate(power(root, k), conj))
+        corpus.append(conj * power(root, k) * ~conj)
     return corpus
 
 
@@ -1009,10 +1014,9 @@ class TestSclReport:
         assert rep.dictionary_size == 2000 * 1999 + 8
 
     def test_conjugation_invariance_of_lower_bound(self):
-        from scl_lab.free_words import conjugate
         a = w("[a,b]")
         for c in (w("a"), w("ba"), w("aBA")):
-            rep = scl_report(conjugate(a, c))
+            rep = scl_report(c * a * ~c)
             assert rep.lower == Fraction(1, 12)
             assert rep.upper == Fraction(1, 2)
 
