@@ -10,7 +10,9 @@ safe to share and to cache.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -24,8 +26,6 @@ __all__ = [
     "WordSyntaxError",
     "RankMismatchError",
     "parse_word",
-    "concat",
-    "invert",
     "power",
     "commutator",
     "cyclically_reduce",
@@ -112,21 +112,26 @@ def _code_str(codes: Sequence[int], rank: int) -> str:
 def _coerce_codes(letters: Iterable[int], rank: int) -> tuple[int, ...]:
     codes = []
     for item in letters:
-        c = int(item)
+        try:
+            c = operator.index(item)
+        except TypeError:
+            raise WordError(f"letter code {item!r} is not an integer") from None
         if c == 0 or abs(c) > rank:
             raise WordError(f"letter code {c} outside rank {rank}")
         codes.append(c)
     return tuple(codes)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ReducedWord:
     """A freely reduced word; the empty word is the group identity.
 
-    Instances are immutable by convention and hashable.  The constructor
-    freely reduces its input, so ``ReducedWord(2, [1, -1])`` is the identity.
+    Instances are immutable and hashable.  The constructor freely reduces
+    its input, so ``ReducedWord(2, [1, -1])`` is the identity.
     """
 
-    __slots__ = ("rank", "codes")
+    rank: int
+    codes: tuple[int, ...]
 
     def __init__(self, rank: int, letters: Iterable[int] = (), *,
                  _trusted: bool = False):
@@ -139,21 +144,11 @@ class ReducedWord:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "codes", codes)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ReducedWord is immutable")
-
     def is_identity(self) -> bool:
         return not self.codes
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ReducedWord)
-                and self.rank == other.rank and self.codes == other.codes)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.codes))
 
     def __str__(self) -> str:
         return _code_str(self.codes, self.rank)
@@ -162,15 +157,16 @@ class ReducedWord:
         return f"ReducedWord(rank={self.rank}, {str(self)!r})"
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        return concat(self, other)
+        """Free reduction of ``self`` followed by ``other``."""
+        rank = _same_rank(self, other)
+        return ReducedWord(rank, _join_codes(self.codes, other.codes),
+                           _trusted=True)
 
     def __invert__(self) -> "ReducedWord":
-        return invert(self)
-
-    def __pow__(self, n: int) -> "ReducedWord":
-        return power(self, n)
+        return ReducedWord(self.rank, _inv(self.codes), _trusted=True)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CyclicWord:
     """A cyclically reduced word up to rotation.
 
@@ -181,7 +177,9 @@ class CyclicWord:
     ``codes[:period]`` repeated (0 for the empty word).
     """
 
-    __slots__ = ("rank", "codes", "period")
+    rank: int
+    codes: tuple[int, ...]
+    period: int
 
     def __init__(self, rank: int, letters: Iterable[int] = (), *,
                  _period: Optional[int] = None):
@@ -193,28 +191,8 @@ class CyclicWord:
         object.__setattr__(self, "codes", tuple(letters))
         object.__setattr__(self, "period", _period)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("CyclicWord is immutable")
-
-    @property
-    def length(self) -> int:
-        return len(self.codes)
-
-    def repeat(self, n: int) -> ReducedWord:
-        """The reduced word obtained by writing the core ``n`` times."""
-        if n < 0:
-            raise WordError(f"repeat count must be >= 0, got {n}")
-        return ReducedWord(self.rank, self.codes * n, _trusted=True)
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CyclicWord)
-                and self.rank == other.rank and self.codes == other.codes)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.codes, "cyclic"))
 
     def __str__(self) -> str:
         return _code_str(self.codes, self.rank)
@@ -362,20 +340,10 @@ def _parse_int(text: str, i: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # group operations
 
-def _same_rank(u: ReducedWord, v: ReducedWord) -> int:
+def _same_rank(u, v) -> int:
     if u.rank != v.rank:
         raise RankMismatchError(f"rank {u.rank} vs rank {v.rank}")
     return u.rank
-
-
-def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    """Free reduction of ``u`` followed by ``v``."""
-    rank = _same_rank(u, v)
-    return ReducedWord(rank, _reduce(u.codes + v.codes), _trusted=True)
-
-
-def invert(u: ReducedWord) -> ReducedWord:
-    return ReducedWord(u.rank, _inv(u.codes), _trusted=True)
 
 
 def power(u: ReducedWord, n: int) -> ReducedWord:
@@ -492,8 +460,7 @@ def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
     cycle of the greedy count (see ``_cyclic_copy_rate``).  No power of
     ``a`` is built.
     """
-    if w.rank != a.rank:
-        raise RankMismatchError(f"rank {w.rank} vs rank {a.rank}")
+    _same_rank(w, a)
     if len(w.codes) < 2:
         raise WordError(f"pattern must have length >= 2, got {len(w.codes)}")
     if not a.codes:
@@ -556,8 +523,8 @@ def _unrank_codes(rank: int, index: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def enumerate_reduced_words(rank: int, max_len: int, min_len: int = 0) -> Iterator[ReducedWord]:
-    """Yield every reduced word with min_len <= length <= max_len.
+def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[ReducedWord]:
+    """Yield every reduced word of length at most max_len.
 
     Order is canonical: by length, then lexicographic in the letter order
     a < A < b < B < ...
@@ -567,8 +534,7 @@ def enumerate_reduced_words(rank: int, max_len: int, min_len: int = 0) -> Iterat
     if max_len < 0:
         raise WordError(f"max_len must be >= 0, got {max_len}")
     for codes in _codes_up_to(rank, max_len):
-        if len(codes) >= min_len:
-            yield ReducedWord(rank, codes, _trusted=True)
+        yield ReducedWord(rank, codes, _trusted=True)
 
 
 def word_sort_key(u: ReducedWord):

@@ -20,18 +20,17 @@ from typing import Callable, NamedTuple, Sequence, Union
 from .errors import AuditError
 from .free_words import (
     CyclicWord,
-    RankMismatchError,
     ReducedWord,
     WordError,
     _count_up_to,
     _cyclic_copy_rate,
     _cyclic_starts,
     _inv,
+    _same_rank,
     _unrank_codes,
     count_disjoint_copies,
     cyclically_reduce,
     enumerate_reduced_words,
-    invert,
 )
 
 __all__ = [
@@ -89,7 +88,7 @@ def brooks(w: ReducedWord) -> QuasimorphismHandle:
     """
     if len(w) < 2:
         raise WordError(f"brooks pattern must have length >= 2, got {len(w)}")
-    wi = invert(w)
+    wi = ~w
 
     def evaluate(a: ReducedWord) -> int:
         return count_disjoint_copies(w, a) - count_disjoint_copies(wi, a)
@@ -121,11 +120,10 @@ def brooks_homogeneous_exact(w: ReducedWord,
     if len(w) < 2:
         raise WordError(f"brooks pattern must have length >= 2, got {len(w)}")
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
-    if core.length == 0:
+    if not core.codes:
         return Fraction(0)
-    if w.rank != core.rank:
-        raise RankMismatchError(f"rank {w.rank} vs rank {core.rank}")
-    k, L = len(w.codes), core.length
+    _same_rank(w, core)
+    k, L = len(w.codes), len(core)
     starts = _cyclic_starts(core.codes, k)
     return Fraction(*_homogeneous_value(
         _cyclic_copy_rate(starts.get(w.codes, ()), k, L),

@@ -478,7 +478,7 @@ def _default_patterns(core: CyclicWord):
     keys are the default patterns of length k, the core's cyclic subwords.
     At k = 2 every reduced two-letter word of the rank is a pattern too."""
     root = core.codes[:core.period]
-    for k in range(2, max(2, min(6, core.length)) + 1):
+    for k in range(2, max(2, min(6, len(core))) + 1):
         yield k, (_cyclic_starts(root, k) if root else {})
 
 
@@ -513,7 +513,7 @@ def scl_lower_bavard(a: Union[ReducedWord, CyclicWord]
     ``_homogeneous_value`` pairs; other two-letter words have value 0.
     """
     core = a if isinstance(a, CyclicWord) else cyclically_reduce(a)[0]
-    L, p = core.length, core.period
+    L, p = len(core), core.period
     if not L:
         return Fraction(0), None
     best_n, best_d, best, best_key = 0, 1, (), ()

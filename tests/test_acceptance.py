@@ -163,8 +163,10 @@ def test_criterion_04_counting_oracle():
                 assert _greedy_on(starts, k) == _brute_on(starts, k)
     # (2) check the production scanner against the position-set model,
     # exhaustively for |a| <= 8
-    patterns = list(enumerate_reduced_words(2, 4, min_len=2))
-    for a in enumerate_reduced_words(2, 8, min_len=2):
+    patterns = [p for p in enumerate_reduced_words(2, 4) if len(p) >= 2]
+    for a in enumerate_reduced_words(2, 8):
+        if len(a) < 2:
+            continue
         for p in patterns:
             if len(p) <= len(a):
                 assert count_disjoint_copies(p, a) == _greedy_on(

@@ -1,11 +1,15 @@
+import ast
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scl_lab
 from scl_lab.free_words import (
     CyclicWord,
     RankMismatchError,
@@ -21,12 +25,10 @@ from scl_lab.free_words import (
     WordSyntaxError,
     abelianization,
     commutator,
-    concat,
     count_disjoint_copies,
     count_disjoint_copies_cyclic,
     cyclically_reduce,
     enumerate_reduced_words,
-    invert,
     parse_word,
     power,
     word_sort_key,
@@ -124,23 +126,22 @@ class TestParsing:
 
 class TestGroupOps:
     def test_concat_cancels(self):
-        assert str(concat(w("abA"), w("aB"))) == "a"
+        assert str(w("abA") * w("aB")) == "a"
 
     def test_invert(self):
-        assert str(invert(w("abA"))) == "aBA"
-        assert invert(w("")).is_identity()
+        assert str(~w("abA")) == "aBA"
+        assert (~w("")).is_identity()
 
     def test_power_law(self):
         u = w("ab")
         assert power(u, 3) == w("ababab")
-        assert power(u, -2) == invert(power(u, 2))
+        assert power(u, -2) == ~power(u, 2)
         assert power(u, 0).is_identity()
 
     def test_operator_sugar(self):
         u, v = w("ab"), w("Ba")
-        assert u * v == concat(u, v)
-        assert ~u == invert(u)
-        assert u ** 3 == power(u, 3)
+        assert u * v == ReducedWord(2, u.codes + v.codes) == w("aa")
+        assert ~u == ReducedWord(2, _inv(u.codes)) == w("BA")
 
     def test_associativity_random(self):
         rng = random.Random(11)
@@ -196,7 +197,7 @@ class TestGroupOps:
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
-            concat(w("a", rank=2), w("a", rank=3))
+            w("a", rank=2) * w("a", rank=3)
 
     def test_abelianization(self):
         assert abelianization(w("abAB")) == (0, 0)
@@ -246,10 +247,10 @@ class TestCyclicWords:
         for _ in range(100):
             u = ReducedWord(2, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(1, 8))])
             core, conj = cyclically_reduce(u)
-            min_conj = (len(u) - core.length) // 2
+            min_conj = (len(u) - len(core)) // 2
             assert len(conj) >= min_conj
             for n in (1, 2, 3, 5):
-                assert len(power(u, n)) == n * core.length + 2 * min_conj
+                assert len(power(u, n)) == n * len(core) + 2 * min_conj
 
     def test_least_rotation_brute_force(self):
         # offset: least index of the least rotation; period: least p
@@ -257,7 +258,9 @@ class TestCyclicWords:
         # the core that cyclically_reduce moves into the conjugator.
         assert _least_rotation(()) == (0, 0)
         for rank, max_len in ((2, 8), (3, 5)):
-            for u in enumerate_reduced_words(rank, max_len, min_len=1):
+            for u in enumerate_reduced_words(rank, max_len):
+                if len(u) < 1:
+                    continue
                 codes = u.codes
                 n = len(codes)
                 rotations = [codes[i:] + codes[:i] for i in range(n)]
@@ -289,8 +292,8 @@ class TestCyclicWords:
 
     def test_repeat(self):
         core = CyclicWord(2, w("ab").codes)
-        assert core.repeat(3) == w("ababab")
-        assert core.repeat(0).is_identity()
+        assert ReducedWord(core.rank, core.codes * 3) == w("ababab")
+        assert ReducedWord(core.rank, core.codes * 0).is_identity()
 
 
 class TestCounting:
@@ -344,7 +347,7 @@ class TestCounting:
         # |core| + |w| copies of the core, so with M = N = lcm(1..|core|+|w|)
         # the difference quotient below is the limit itself.
         def oracle(wc, core):
-            m = math.lcm(*range(1, core.length + len(wc) + 1))
+            m = math.lcm(*range(1, len(core) + len(wc) + 1))
             text, pattern = str(core), str(wc)
             return Fraction((text * (2 * m)).count(pattern)
                             - (text * m).count(pattern), m)
@@ -359,7 +362,7 @@ class TestCounting:
         while len(cases) < 700:
             wc = random_reduced(rng, 2, rng.randrange(2, 5))
             core, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(1, 8)))
-            if core.length:
+            if len(core):
                 cases.append((wc, core))
         # one start: every prefix of r r r ... of 2 to 6 letters on a
         # primitive root r of 1 to 5 letters, so also patterns longer than
@@ -368,7 +371,7 @@ class TestCounting:
         while len(roots) < 40:
             root, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(1, 6)))
             text = str(root)
-            if root.length and (text * 2).find(text, 1) == len(text):
+            if len(root) and (text * 2).find(text, 1) == len(text):
                 roots.add(text)
         for text in sorted(roots):
             cases += [(w((text * 6)[:k]), CyclicWord(2, w(text).codes))
@@ -393,20 +396,20 @@ class TestCounting:
             wc = random_reduced(rng, 2, rng.randrange(2, 5))
             core_src = random_reduced(rng, 2, rng.randrange(1, 7))
             core, _ = cyclically_reduce(core_src)
-            if core.length == 0:
+            if len(core) == 0:
                 continue
             val = count_disjoint_copies_cyclic(wc, core)
             n = 60
-            big = count_disjoint_copies(wc, core.repeat(n))
+            big = count_disjoint_copies(wc, ReducedWord(core.rank, core.codes * n))
             # counts in a^n are within an additive constant of n * val
-            assert abs(big - n * val) <= len(wc) + core.length + 2
+            assert abs(big - n * val) <= len(wc) + len(core) + 2
 
     def test_cyclic_rotation_invariance(self):
         rng = random.Random(43)
         for _ in range(60):
             wc = random_reduced(rng, 2, rng.randrange(2, 4))
             core, _ = cyclically_reduce(random_reduced(rng, 2, rng.randrange(1, 7)))
-            if core.length == 0:
+            if len(core) == 0:
                 continue
             codes = core.codes
             i = rng.randrange(len(codes))
@@ -433,7 +436,7 @@ class TestEnumeration:
         assert [str(u) for u in words[:9]] == ["", "a", "A", "b", "B", "aa", "ab", "aB", "AA"]
 
     def test_min_len(self):
-        words = list(enumerate_reduced_words(2, 2, min_len=2))
+        words = [u for u in enumerate_reduced_words(2, 2) if len(u) >= 2]
         assert all(len(u) == 2 for u in words)
         assert len(words) == 12
 
@@ -469,7 +472,62 @@ class TestValidation:
         with pytest.raises(WordSyntaxError):
             parse_word("c", 2)
 
+    @pytest.mark.parametrize("letters,item", [
+        ([1.7, 2.2], "1.7"), (["1", "-2"], "'1'"), ([0.5], "0.5")])
+    def test_non_integer_codes(self, letters, item):
+        # int() would truncate or parse these into a word
+        with pytest.raises(WordError,
+                           match=f"^letter code {item} is not an integer$"):
+            ReducedWord(2, letters)
+
+    def test_non_integer_cyclic_codes(self):
+        with pytest.raises(WordError,
+                           match="^letter code 1.9 is not an integer$"):
+            CyclicWord(2, [1.9, 2])
+
     def test_immutability(self):
         u = w("ab")
         with pytest.raises(AttributeError):
             u.codes = ()
+        for word, fields in ((u, ("rank", "codes")),
+                             (CyclicWord(2, u.codes), ("rank", "codes", "period"))):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(word, name, getattr(word, name))
+
+
+class TestValueSemantics:
+    def test_reduced_and_cyclic_words_are_unequal(self):
+        u = w("ab")
+        core = CyclicWord(2, u.codes)
+        assert core.codes == u.codes
+        assert u != core and core != u
+
+    def test_trusted_and_reducing_constructors_agree(self):
+        trusted = ReducedWord(2, (1, 2, -1), _trusted=True)
+        for built in (ReducedWord(2, (1, 2, -1)), ReducedWord(2, [1, 2, 2, -2, -1])):
+            assert built == trusted and hash(built) == hash(trusted)
+        assert CyclicWord(2, (1, 2), _period=2) == CyclicWord(2, [-2, 1, 2, 2])
+
+    def test_hash_is_the_field_tuple(self):
+        assert hash(ReducedWord(2, (1, 2))) == hash((2, (1, 2)))
+
+    @pytest.mark.parametrize("cls,fields", [
+        (ReducedWord, ("rank", "codes")),
+        (CyclicWord, ("rank", "codes", "period"))])
+    def test_frozen_slotted_dataclasses(self, cls, fields):
+        assert cls.__dataclass_params__.frozen
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+        assert cls.__slots__ == fields
+
+    def test_no_hand_written_value_semantics(self):
+        # equality, hashing and immutability come from dataclasses
+        found = []
+        for path in sorted(Path(scl_lab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ClassDef):
+                    found += [f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                              for item in node.body
+                              if isinstance(item, ast.FunctionDef) and item.name
+                              in ("__eq__", "__hash__", "__setattr__")]
+        assert found == []

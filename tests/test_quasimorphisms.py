@@ -15,7 +15,6 @@ from scl_lab.free_words import (
     count_disjoint_copies_cyclic,
     cyclically_reduce,
     enumerate_reduced_words,
-    invert,
     parse_word,
     power,
 )
@@ -129,10 +128,10 @@ class TestHomogeneous:
 def two_table_value(pattern, a):
     """The homogeneous value as two cyclic counts, each tabling the core."""
     core = cyclically_reduce(a)[0]
-    if core.length == 0:
+    if len(core) == 0:
         return Fraction(0)
     return (count_disjoint_copies_cyclic(pattern, core)
-            - count_disjoint_copies_cyclic(invert(pattern), core))
+            - count_disjoint_copies_cyclic(~pattern, core))
 
 
 class TestOneStartTable:
@@ -147,21 +146,21 @@ class TestOneStartTable:
                 a = random_reduced(rng, rank, rng.randrange(0, 201))
                 core = cyclically_reduce(a)[0]
                 patterns = [random_reduced(rng, rank, k) for k in range(2, 7)]
-                if core.length:
-                    periodic = core.codes * (3 + 4 // core.length)
-                    i = rng.randrange(core.length)
-                    for k in (2, core.length, core.length + 1,
-                              core.length + 3):
+                if len(core):
+                    periodic = core.codes * (3 + 4 // len(core))
+                    i = rng.randrange(len(core))
+                    for k in (2, len(core), len(core) + 1,
+                              len(core) + 3):
                         patterns.append(ReducedWord(rank, periodic[i:i + k]))
-                for pattern in patterns + [invert(p) for p in patterns]:
+                for pattern in patterns + [~p for p in patterns]:
                     if len(pattern) < 2:
                         continue
                     value = brooks_homogeneous_exact(pattern, a)
                     assert value == two_table_value(pattern, a)
                     assert brooks_homogeneous_exact(pattern, core) == value
                     nonzero += value != 0
-                    longer += len(pattern) > core.length > 0
-                    absent += core.length > 0 and value == 0 and \
+                    longer += len(pattern) > len(core) > 0
+                    absent += len(core) > 0 and value == 0 and \
                         count_disjoint_copies_cyclic(pattern, core) == 0
         assert nonzero >= 300 and absent >= 100 and longer >= 200
 

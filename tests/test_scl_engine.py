@@ -116,14 +116,14 @@ class TestClUpper:
         # entries must be found, and nothing else may be claimed
         from scl_lab.free_words import abelianization, enumerate_reduced_words
         brute = set()
-        vocab = list(enumerate_reduced_words(2, 3, min_len=1))
+        vocab = [u for u in enumerate_reduced_words(2, 3) if len(u) >= 1]
         for u in vocab:
             for v in vocab:
                 c = commutator(u, v)
                 if 0 < len(c) <= 4:
                     brute.add(c)
-        for a in enumerate_reduced_words(2, 4, min_len=1):
-            if any(abelianization(a)):
+        for a in enumerate_reduced_words(2, 4):
+            if len(a) < 1 or any(abelianization(a)):
                 continue
             hit = cl_upper(a, max_genus=1, max_len=3)
             if a in brute:
@@ -409,11 +409,11 @@ def window_corpus(rng, rank, max_len, count):
         r, _ = cyclically_reduce(
             random_reduced(rng, rank, rng.randrange(1, 3)))
         h = random_reduced(rng, rank, rng.randrange(3))
-        u = h * r.repeat(rng.randrange(2, 4)) * ~h
+        u = h * ReducedWord(rank, r.codes * rng.randrange(2, 4)) * ~h
         a = commutator(u, random_reduced(rng, rank,
                                          rng.randrange(1, max_len + 1)))
         if rng.randrange(2):
-            g = (h * r.repeat(rng.randrange(1, 3))
+            g = (h * ReducedWord(rank, r.codes * rng.randrange(1, 3))
                  * random_reduced(rng, rank, rng.randrange(6, 9)))
             a = g * a * ~g
         if a.codes:
@@ -707,11 +707,12 @@ def doubled_slice_dictionary(a):
     tables: every rotation of the doubled core sliced at each length
     2..min(6, |core|), plus every reduced two-letter word, sorted."""
     core, _ = cyclically_reduce(a)
-    L = core.length
+    L = len(core)
     doubled = core.codes * 2
     subwords = {doubled[i:i + ell] for ell in range(2, min(6, L) + 1)
                 for i in range(L)}
-    subwords |= {u.codes for u in enumerate_reduced_words(a.rank, 2, 2)}
+    subwords |= {u.codes for u in enumerate_reduced_words(a.rank, 2)
+                 if len(u) >= 2}
     return tuple(sorted((ReducedWord(a.rank, c) for c in subwords),
                         key=word_sort_key))
 
@@ -739,7 +740,7 @@ def primitive_root(rng, rank, length):
     while True:
         root, _ = cyclically_reduce(random_reduced(rng, rank, length))
         if len(root) == length and _least_rotation(root.codes)[1] == length:
-            return root.repeat(1)
+            return ReducedWord(root.rank, root.codes)
 
 
 def conjugated_powers(rng):
@@ -817,7 +818,7 @@ class TestBavardScan:
     def test_proper_power_is_k_times_its_base(self, a, k):
         core, _ = cyclically_reduce(a)
         assume(len(core) >= 6)
-        base = core.repeat(1)
+        base = ReducedWord(core.rank, core.codes)
         assert default_brooks_dictionary(base) \
             == default_brooks_dictionary(power(base, k))
         bound, witness = scl_lower_bavard(base)
