@@ -2,14 +2,19 @@
 
 Each invocation prints one OutputRecord per computation on stdout as a
 single JSON line with the shape {command, inputs, result, certificates,
-flags}.  Exact rationals are serialized as "num/den" strings (never as
-floats); real numbers are rounded to 12 significant digits.  Exit codes:
-0 success, 1 failed audit, certificate or soundness check, 2 invalid input,
-3 inconclusive: a search budget ran out, or no Sol decomposition profile
-certifies for the matrix.  Codes 1 and 3 come from the ``SclLabError``
-raised; every other ``ValueError``, and any ``OverflowError`` or
-``ZeroDivisionError`` of a float calculator, is invalid input; the latter
-two name every float flag the command was given.
+flags}.  ``inputs`` holds the flags the command read, in ``--help`` order,
+after parsing: comma lists become JSON arrays (a count that is off says
+``needs N comma-separated integers`` or ``reals``, a bad entry
+``entry i '...' is not a number`` or ``an integer``), and ``gap`` records
+only the flags of its mode.  Exact rationals are serialized as "num/den"
+strings (never as floats); real numbers, in inputs and results, are
+rounded to 12 significant digits.  Exit codes: 0 success, 1 failed audit,
+certificate or soundness check, 2 invalid input, 3 inconclusive: a search
+budget ran out, or no Sol decomposition profile certifies for the matrix.
+Codes 1 and 3 come from the ``SclLabError`` raised; every other
+``ValueError``, and any ``OverflowError`` or ``ZeroDivisionError`` of a
+float calculator, is invalid input; the latter two name every flag of
+reals the command was given.
 
 Every setting is a flag of the commands that read it: the search budgets
 belong to ``scl`` and ``cl`` (defaults from ``scl_engine``), ``--seed`` to
@@ -114,11 +119,27 @@ def _sol_factor(x: SolElement, y: SolElement) -> list:
     return [left, right]
 
 
-def _record(command: str, inputs: dict, result, certificates=None,
-            flags=None) -> dict:
+#: namespace entries that no command reads: its names, the output mode and
+#: the handler
+_NOT_INPUTS = ("command", "sol_command", "table", "handler")
+
+
+def _input(value):
+    if isinstance(value, list):
+        return [_input(x) for x in value]
+    return _real(value) if isinstance(value, float) else value
+
+
+def _record(args, result, certificates=None, flags=None) -> dict:
+    """The output record of one computation of the command parsed into
+    ``args``: its ``inputs`` are the flags the command read."""
+    command = args.command
+    if command == "sol":
+        command += " " + args.sol_command
     return {
         "command": command,
-        "inputs": inputs,
+        "inputs": {name: _input(value) for name, value in vars(args).items()
+                   if name not in _NOT_INPUTS},
         "result": result,
         "certificates": certificates,
         "flags": list(flags) if flags else [],
@@ -155,36 +176,35 @@ def _emit_table(record: dict) -> None:
 # ---------------------------------------------------------------------------
 # argument helpers
 
-def _parse_int_list(text: str, count: int, label: str) -> list[int]:
-    parts = text.split(",")
-    try:
-        if len(parts) == count:
-            return [int(p) for p in parts]
-    except ValueError:
-        pass
-    raise ValueError(
-        f"{label} needs {count} comma-separated integers, got {text!r}")
+def _list_arg(args, name: str, count: int, kind: type = int,
+              finite: bool = False) -> list:
+    """Parse the comma list of ``--name`` into ``count`` numbers of
+    ``kind`` (``int`` or ``float``), store them back in ``args`` and
+    return them; ``finite`` rejects nan and infinities too."""
+    flag, text = "--" + name, getattr(args, name)
+    entries = text.split(",")
+    if len(entries) != count:
+        noun = "integers" if kind is int else "reals"
+        raise ValueError(
+            f"{flag} needs {count} comma-separated {noun}, got {text!r}")
+    values = []
+    for i, entry in enumerate(entries, 1):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} entry {i} {entry.strip()!r} "
+                             f"is not {noun}") from None
+        if finite and not math.isfinite(values[-1]):
+            raise ValueError(f"{flag} entry {entry.strip()!r} is not finite")
+    setattr(args, name, values)
+    return values
 
 
-def _parse_float_pair(text: str, label: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ValueError(f"{label} needs two comma-separated reals, got {text!r}")
-
-
-def _matrix_arg(args) -> AnosovMatrix:
-    return AnosovMatrix(*_parse_int_list(args.matrix, 4, "--matrix"))
-
-
-def _sol_args(args) -> tuple[AnosovMatrix, tuple[int, int], dict]:
-    """The matrix, the fiber vector and the record inputs of a sol command."""
-    A = _matrix_arg(args)
-    v0, v1 = _parse_int_list(args.vector, 2, "--vector")
-    return A, (v0, v1), {"matrix": list(A.flat), "vector": [v0, v1]}
+def _sol_args(args) -> tuple[AnosovMatrix, tuple[int, int]]:
+    """The matrix and the fiber vector of a sol command."""
+    A = AnosovMatrix(*_list_arg(args, "matrix", 4))
+    return A, tuple(_list_arg(args, "vector", 2))
 
 
 def _word_arg(args, attr: str = "word") -> ReducedWord:
@@ -206,8 +226,7 @@ def _cmd_word(args):
         "cyclic_core": str(core),
         "conjugator": str(conj),
     }
-    inputs = {"word": args.word, "rank": args.rank}
-    return [_record("word", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_brooks(args):
@@ -222,9 +241,7 @@ def _cmd_brooks(args):
         result["value_decimal"] = _real(float(value))
     else:
         result["value"] = value
-    inputs = {"pattern": args.pattern, "word": args.word, "rank": args.rank,
-              "homogeneous": bool(args.homogeneous)}
-    return [_record("brooks", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_defect(args):
@@ -240,11 +257,7 @@ def _cmd_defect(args):
         "pairs_checked": scan.pairs_checked,
         "defect_certificate": handle.defect_certificate,
     }
-    inputs = {"pattern": args.pattern, "rank": args.rank,
-              "homogeneous": bool(args.homogeneous),
-              "length_budget": args.length_budget,
-              "samples": args.samples, "seed": args.seed}
-    return [_record("defect", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_scl(args):
@@ -270,25 +283,20 @@ def _cmd_scl(args):
             "power": report.power,
             "pairs": [[str(u), str(v)] for u, v in report.certificate.pairs],
         }
-    inputs = {"word": args.word, "rank": args.rank, "n_max": args.n_max,
-              "max_len": args.max_len, "max_genus": args.max_genus,
-              "pair_budget": args.pair_budget}
     code = (SearchBudgetError.exit_code if report.status == "inconclusive"
             else 0)
-    return [_record("scl", inputs, result, certificates, report.flags)], code
+    return [_record(args, result, certificates, report.flags)], code
 
 
 def _cmd_cl(args):
     word = _word_arg(args)
-    inputs = {"word": args.word, "rank": args.rank, "max_len": args.max_len,
-              "max_genus": args.max_genus, "pair_budget": args.pair_budget}
     try:
         # cl_upper checks the budgets before it looks at the word
         cert = cl_upper(word, max_genus=args.max_genus, max_len=args.max_len,
                         pair_budget=args.pair_budget)
     except NotInCommutatorSubgroupError:
         result = {"in_commutator_subgroup": False, "cl": "infinity"}
-        return [_record("cl", inputs, result)], 0
+        return [_record(args, result)], 0
     result = {"in_commutator_subgroup": True, "lower": cl_lower(word)}
     certificates = None
     flags = []
@@ -300,30 +308,16 @@ def _cmd_cl(args):
         result["upper"] = cert.genus
         certificates = {"pairs": [[str(u), str(v)] for u, v in cert.pairs]}
         code = 0
-    return [_record("cl", inputs, result, certificates, flags)], code
+    return [_record(args, result, certificates, flags)], code
 
 
 def _cmd_rot(args):
-    entries = args.matrix.split(",")
-    if len(entries) != 4:
-        raise ValueError(
-            f"--matrix needs four comma-separated reals, got {args.matrix!r}")
-    matrix = []
-    for i, text in enumerate(entries, 1):
-        try:
-            matrix.append(float(text))
-        except ValueError:
-            raise ValueError(f"--matrix entry {i} {text.strip()!r} "
-                             "is not a number") from None
-        if not math.isfinite(matrix[-1]):
-            raise ValueError(f"--matrix entry {text.strip()!r} is not finite")
+    matrix = _list_arg(args, "matrix", 4, float, finite=True)
     lift = lift_from_matrix(matrix, branch=args.branch)
     estimate = rotation_number(lift, args.iterations)
     result = {"estimate": _real(estimate.value),
               "error_bound": _real(estimate.error_bound)}
-    inputs = {"matrix": [_real(x) for x in matrix], "branch": args.branch,
-              "iterations": args.iterations}
-    return [_record("rot", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_tube(args):
@@ -335,14 +329,12 @@ def _cmd_tube(args):
         "scl_lower": _real(scl_lower_from_tube(params)),
         "boundary_area": _real(tube_area(params)),
     }
-    inputs = {"length": _real(args.length), "radius": _real(args.radius)}
-    return [_record("tube", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_hk(args):
     result = {"min_core_length": _real(hk_min_core_length(args.radius))}
-    inputs = {"radius": _real(args.radius)}
-    return [_record("hk", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_surgery_a(args):
@@ -354,88 +346,83 @@ def _cmd_surgery_a(args):
         "length_bound": _real(
             surgery_length_bound(surface, args.radius, args.p)),
     }
-    inputs = {"chi": args.chi, "multiplicity": args.multiplicity,
-              "radius": _real(args.radius), "p": args.p}
-    return [_record("surgery-a", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_surgery_b(args):
     value = genus_bound_from_meridian(args.meridian_length, args.variant)
     result = {"scl_lower": _real(value), "variant": args.variant}
-    inputs = {"meridian_length": _real(args.meridian_length),
-              "variant": args.variant}
-    return [_record("surgery-b", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_nz(args):
-    meridian = _parse_float_pair(args.meridian, "--meridian")
-    longitude = _parse_float_pair(args.longitude, "--longitude")
-    cusp = CuspShape(meridian, longitude)
+    cusp = CuspShape(complex(*_list_arg(args, "meridian", 2, float)),
+                     complex(*_list_arg(args, "longitude", 2, float)))
     slope = SurgeryCoeffs(args.p, args.q)
     result = {
         "quadratic_form": _real(nz_quadratic_form(cusp, slope)),
         "core_length": _real(nz_core_length(cusp, slope)),
     }
-    inputs = {"meridian": [_real(meridian.real), _real(meridian.imag)],
-              "longitude": [_real(longitude.real), _real(longitude.imag)],
-              "p": args.p, "q": args.q}
-    return [_record("nz", inputs, result, flags=["approximate"])], 0
+    return [_record(args, result, flags=["approximate"])], 0
+
+
+#: the flags of the gap formula, which --optimal does not read
+_GAP_FORMULA_FLAGS = ("m", "genus", "epsilon", "variant", "margulis")
 
 
 def _cmd_gap(args):
+    """``gap`` in one of two modes, each recording only the flags it
+    reads: the formula, or ``--optimal`` with ``--cap``."""
     if args.optimal:
-        unused = [flag for flag, value in (
-            ("--m", args.m), ("--genus", args.genus),
-            ("--epsilon", args.epsilon), ("--variant", args.variant),
-            ("--margulis", args.margulis)) if value is not None]
+        unused = [name for name in _GAP_FORMULA_FLAGS
+                  if getattr(args, name) is not None]
         if unused:
-            raise ValueError(f"--optimal takes only --cap, "
-                             f"not {', '.join(unused)}")
+            raise ValueError("--optimal takes only --cap, not "
+                             + ", ".join("--" + name for name in unused))
         if args.cap is None:
             raise ValueError("--optimal needs --cap")
+        for name in _GAP_FORMULA_FLAGS:
+            delattr(args, name)
         eps = optimal_epsilon(args.cap)
         result = {"epsilon": _real(eps.epsilon),
                   "min_constant": _real(eps.min_constant)}
-        inputs = {"optimal": True, "cap": _real(args.cap)}
-        return [_record("gap", inputs, result)], 0
+        return [_record(args, result)], 0
     if args.m is None or args.genus is None or args.epsilon is None:
         raise ValueError("gap needs --m, --genus and --epsilon (or --optimal)")
     if args.cap is not None:
         raise ValueError("--cap needs --optimal")
-    variant = args.variant or "universal"
+    del args.optimal, args.cap
+    args.variant = args.variant or "universal"
     params = GapParams(args.m, args.genus, args.epsilon, args.margulis)
-    value = length_gap_bound(params, variant)
-    result = {"length_gap": _real(value), "variant": variant}
+    value = length_gap_bound(params, args.variant)
+    result = {"length_gap": _real(value), "variant": args.variant}
     flags = []
     if args.margulis is None:
         flags.append("margulis-unchecked")
     else:
         result["margulis_constant"] = _real(args.margulis)
-    inputs = {"m": args.m, "genus": args.genus,
-              "epsilon": _real(args.epsilon), "variant": variant,
-              "margulis": result.get("margulis_constant")}
-    return [_record("gap", inputs, result, flags=flags)], 0
+    return [_record(args, result, flags=flags)], 0
 
 
 # ---------------------------------------------------------------------------
 # sol subcommands
 
 def _cmd_sol_member(args):
-    A, vec, inputs = _sol_args(args)
+    A, vec = _sol_args(args)
     u = membership_commutator_subgroup(A, vec)
     if u is not None:
         result = {"member": True, "u": _sol_fiber(u)}
     else:
         w0, w1 = membership_witness_rational(A, vec)
         result = {"member": False, "witness_rational": [_frac(w0), _frac(w1)]}
-    return [_record("sol member", inputs, result)], 0
+    return [_record(args, result)], 0
 
 
 def _cmd_sol_certificate(args):
     """``sol cert`` and ``sol report``: a member's one-commutator
     certificate, or a non-member's non-integral solve; ``report`` states
     the scl that proves (0 or infinity), ``cert`` the certificate's size."""
-    A, vec, inputs = _sol_args(args)
+    A, vec = _sol_args(args)
     report = args.sol_command == "report"
     try:
         cert = commutator_certificate(A, vec)
@@ -452,12 +439,11 @@ def _cmd_sol_certificate(args):
                    "factor_count": cert.factor_count,
                    "target": _sol_element(cert.target)})
         certificates = [_sol_factor(x, y) for x, y in cert.factors]
-    return [_record("sol " + args.sol_command, inputs, result,
-                    certificates)], 0
+    return [_record(args, result, certificates)], 0
 
 
 def _cmd_sol_decompose(args):
-    A, vec, inputs = _sol_args(args)
+    A, vec = _sol_args(args)
     outcome = recursive_log_decomposition(A, vec)
     trace = outcome.trace
     result = {
@@ -469,17 +455,15 @@ def _cmd_sol_decompose(args):
                       for key, val in trace.constants.items()},
     }
     certificates = [_sol_factor(x, y) for x, y in outcome.expression.factors]
-    return [_record("sol decompose", inputs, result, certificates)], 0
+    return [_record(args, result, certificates)], 0
 
 
 def _cmd_sol_mul(args):
-    A = _matrix_arg(args)
-    x = _parse_int_list(args.x, 3, "--x")
-    y = _parse_int_list(args.y, 3, "--y")
+    A = AnosovMatrix(*_list_arg(args, "matrix", 4))
+    x = _list_arg(args, "x", 3)
+    y = _list_arg(args, "y", 3)
     product = sol_mul(A, SolElement(x[:2], x[2]), SolElement(y[:2], y[2]))
-    result = {"product": _sol_element(product)}
-    inputs = {"matrix": list(A.flat), "x": x, "y": y}
-    return [_record("sol mul", inputs, result)], 0
+    return [_record(args, {"product": _sol_element(product)})], 0
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +512,6 @@ def _audit_checks(args):
 def _cmd_audit(args):
     records = []
     failed = False
-    inputs = {"seed": args.seed}
     for name, check in _audit_checks(args):
         try:
             detail = check()
@@ -536,7 +519,7 @@ def _cmd_audit(args):
         except AuditError as exc:
             failed = True
             result = {"check": name, "passed": False, "reason": str(exc)}
-        records.append(_record("audit", inputs, result))
+        records.append(_record(args, result))
     return records, (AuditError.exit_code if failed else 0)
 
 
@@ -548,14 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--table", action="store_true",
                         help="human-readable table output instead of JSON")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized scans (default 0)")
-    budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    budgets.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS)
-    budgets.add_argument("--pair-budget", type=int,
-                         default=DEFAULT_PAIR_BUDGET)
+    # declared after each command's own flags, so that they come last in
+    # --help and in the record's inputs
+    seed = {"type": int, "default": 0,
+            "help": "seed for randomized scans (default 0)"}
+    budgets = (("--max-len", DEFAULT_MAX_LEN),
+               ("--max-genus", DEFAULT_MAX_GENUS),
+               ("--pair-budget", DEFAULT_PAIR_BUDGET))
 
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -577,26 +559,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homogeneous", action="store_true")
     p.set_defaults(handler=_cmd_brooks)
 
-    p = sub.add_parser("defect", parents=[common, seeded],
+    p = sub.add_parser("defect", parents=[common],
                        help="scan for the observed defect of a quasimorphism")
     p.add_argument("--pattern", required=True)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--length-budget", type=int, default=4)
     p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--seed", **seed)
     p.set_defaults(handler=_cmd_defect)
 
-    p = sub.add_parser("scl", parents=[common, budgets],
+    p = sub.add_parser("scl", parents=[common],
                        help="two-sided certified scl bounds")
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    for flag, default in budgets:
+        p.add_argument(flag, type=int, default=default)
     p.set_defaults(handler=_cmd_scl)
 
-    p = sub.add_parser("cl", parents=[common, budgets],
+    p = sub.add_parser("cl", parents=[common],
                        help="commutator length bounds with certificates")
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, default=2)
+    for flag, default in budgets:
+        p.add_argument(flag, type=int, default=default)
     p.set_defaults(handler=_cmd_cl)
 
     p = sub.add_parser("rot", parents=[common],
@@ -684,8 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="two comma-separated integers")
         q.set_defaults(handler=handler)
 
-    p = sub.add_parser("audit", parents=[common, seeded],
+    p = sub.add_parser("audit", parents=[common],
                        help="run the built-in soundness checks")
+    p.add_argument("--seed", **seed)
     p.set_defaults(handler=_cmd_audit)
 
     return parser
@@ -708,9 +696,12 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{PROG}: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        floats = [f"--{name.replace('_', '-')} {value!r}"
-                  for name, value in vars(args).items()
-                  if isinstance(value, float)]
+        floats = []
+        for name, value in vars(args).items():
+            values = value if isinstance(value, list) else [value]
+            if all(isinstance(x, float) for x in values):
+                floats.append(f"--{name.replace('_', '-')} "
+                              + ",".join(map(repr, values)))
         if floats and not isinstance(exc, ValueError):
             exc = "out of float range at " + ", ".join(floats)
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -157,7 +157,7 @@ def _genus_one_search(a: ReducedWord, max_len: int):
         t = _join_codes(u_inv, target)
         c1_raw, core_u = _cyclic_split(u_inv)
         c2_raw, core_t = _cyclic_split(t)
-        if len(core_u) != len(core_t) or not core_u:
+        if len(core_u) != len(core_t):
             continue
         i, p = _least_rotation(core_u)
         j, _ = _least_rotation(core_t)
@@ -640,16 +640,13 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
     best_power: Optional[int] = None
     best_genus: Optional[int] = None
     best_cert: Optional[CommutatorCertificate] = None
-    budget_hit = False
     for n in range(1, n_max + 1):
         try:
             cert = cl_upper(power(a, n), max_genus=max_genus,
                             max_len=max_len, pair_budget=pair_budget)
         except SearchBudgetError:
-            budget_hit = True
             break
         if cert is None:
-            budget_hit = True
             continue
         bound = scl_upper_from_power(a, n, cert)
         if best_upper is None or bound < best_upper:
@@ -662,8 +659,8 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
             break
 
     if best_upper is None:
-        if budget_hit:
-            flags.append("budget-exhausted")
+        # n_max >= 1, so some power was tried and each one ran out
+        flags.append("budget-exhausted")
         return SclReport(
             word=a, status="inconclusive", lower=lower, upper=None,
             lower_witness=witness, flags=tuple(flags),

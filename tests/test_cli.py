@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -402,6 +403,26 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err == f"scl-lab: error: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sol", "member", "--matrix=2,1,1,1", "--vector=1,x"],
+         "--vector entry 2 'x' is not an integer"),
+        (["sol", "cert", "--matrix=2,1.5,1,1", "--vector=1,1"],
+         "--matrix entry 2 '1.5' is not an integer"),
+        (["nz", "--meridian", "1,0,0", "--longitude", "0,1", "--p", "5",
+          "--q", "1"],
+         "--meridian needs 2 comma-separated reals, got '1,0,0'"),
+        (["nz", "--meridian", "1,0", "--longitude", "0, i", "--p", "5",
+          "--q", "1"], "--longitude entry 2 'i' is not a number"),
+        (["rot", "--matrix", "1,0,1"],
+         "--matrix needs 4 comma-separated reals, got '1,0,1'")],
+        ids=["int-entry", "real-for-int", "real-count",
+             "real-entry", "rot-count"])
+    def test_list_flag_names_count_and_entry(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"scl-lab: error: {message}\n"
+
 
 class TestDefectSampling:
     #: records of the scan that listed every word before drawing
@@ -696,6 +717,8 @@ FLOAT_OVERFLOWS = [
     (("gap", "--optimal", "--cap", "1e-320"), "--cap 1e-320"),
     (("surgery-a", "--chi", "-2", "--radius", "1e308", "--p", "5"),
      "--radius 1e+308"),
+    (("nz", "--meridian", "1e200,0", "--longitude", "0,1e-200", "--p", "1",
+      "--q", "0"), "--meridian 1e+200,0.0, --longitude 0.0,1e-200"),
 ]
 
 
@@ -747,7 +770,7 @@ LEAF_ARGV = {
     "rot": ["rot", "--matrix", "1,0,0,1"],
     "tube": ["tube", "--length", "1", "--radius", "2"],
     "hk": ["hk", "--radius", "2"],
-    "surgery-a": ["surgery-a", "--chi", "-1", "--radius", "2", "--p", "3"],
+    "surgery-a": ["surgery-a", "--chi", "-1", "--radius", "2.5", "--p", "3"],
     "surgery-b": ["surgery-b", "--meridian-length", "6.3"],
     "nz": ["nz", "--meridian", "1,0", "--longitude", "0,1",
            "--p", "5", "--q", "1"],
@@ -782,6 +805,21 @@ class TestParserShape:
         assert _parses(argv + ["--seed", "1"]) == (leaf in ("defect", "audit"))
         assert _parses(argv + ["--margulis", "0.29"]) == (leaf == "gap")
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [*LEAF_ARGV.values(), GAP],
+                             ids=[*LEAF_ARGV, "gap formula"])
+    def test_inputs_are_the_flags_read_in_help_order(self, capsys, argv):
+        # argparse fills the namespace in declaration order, which --help
+        # lists; gap records only the flags of its mode
+        leaf = argv[:2] if argv[0] == "sol" else argv[:1]
+        assert main(leaf + ["--help"]) == 0
+        flags = re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.M)
+        dests = [flag.replace("-", "_") for flag in flags if flag != "table"]
+        if argv[0] == "gap":
+            optimal = "--optimal" in argv
+            dests = [d for d in dests if (d in ("optimal", "cap")) == optimal]
+        for record in records_of(run_cli(capsys, *argv)):
+            assert list(record["inputs"]) == dests
 
     @pytest.mark.parametrize("option", [["--table"], ["--seed", "1"],
                                         ["--margulis", "0.29"]])
