@@ -14,7 +14,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -473,7 +472,6 @@ def count_disjoint_copies_cyclic(w: ReducedWord, a: CyclicWord) -> Fraction:
 # ---------------------------------------------------------------------------
 # enumeration
 
-@lru_cache(maxsize=32)
 def _codes_up_to(rank: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     """All reduced code tuples of length <= max_len, by length then lex order."""
     letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
@@ -506,8 +504,10 @@ def _unrank_codes(rank: int, index: int) -> tuple[int, ...]:
     """The word at position ``index`` of ``_codes_up_to`` order, without
     building the list: past the length classes, the first letter is a digit
     in base ``2 rank`` and each later one a digit in base ``2 rank - 1``
-    over the letters that do not cancel the one before."""
-    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    over the letters that do not cancel the one before.  Letter ``+i`` sits
+    at place ``2 i - 2`` of the a < A < b < B order and ``-i`` at
+    ``2 i - 1``; a digit at or past the place of the cancelling letter
+    skips it."""
     q = 2 * rank - 1
     length, layer = 0, 1
     while index >= layer:
@@ -515,11 +515,13 @@ def _unrank_codes(rank: int, index: int) -> tuple[int, ...]:
         length += 1
         layer = 2 * rank * q ** (length - 1)
     codes: list[int] = []
-    last = 0
+    banned = 2 * rank  # no letter is banned before the first
     for place in range(length - 1, -1, -1):
         digit, index = divmod(index, q ** place)
-        last = [c for c in letters if c != -last][digit]
+        digit += digit >= banned
+        last = (digit // 2 + 1) * (-1 if digit % 2 else 1)
         codes.append(last)
+        banned = digit + 1 - 2 * (digit % 2)  # the place of -last
     return tuple(codes)
 
 

@@ -1,7 +1,8 @@
 """Two-sided certified bounds for commutator length and its stable version.
 
-Upper bounds are explicit products of commutators found by bounded search
-and re-verified letter by letter before they are handed back.  Lower bounds
+Upper bounds are explicit products of commutators, found by Wicks'
+commutator form at genus 1 and by bounded search at genus 2, and
+re-verified letter by letter before they are handed back.  Lower bounds
 come from homogeneous counting quasimorphisms through Bavard duality.  Both
 sides use exact rational arithmetic, so a report's bracket is a proof about
 the word, not an estimate.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,88 +96,65 @@ class CommutatorCertificate:
 
 
 # ---------------------------------------------------------------------------
-# upper bounds: bounded certificate search
+# upper bounds: certificate search
 
-def _genus_one_candidates(rank: int, target: tuple[int, ...], max_len: int):
-    """The words ``u = target[:c] z target[n - j:]`` that are reduced, with
-    ``c + j <= n = |target|``, ``|z| <= max(0, max_len - ceil(n / 2))`` and
-    ``1 <= |u| <= max_len``, by length and then in a < A < b < B order.
+def _genus_one_search(a: ReducedWord):
+    """A pair (u, v) with [u, v] = a, or None when ``a`` is no commutator.
 
-    Among them is every ``u`` with ``[u, v] = target`` for some ``v``
-    within ``max_len``; ``_genus_one_search`` gives the argument.
+    Wicks' theorem: a cyclically reduced K is conjugate to a commutator
+    exactly when some rotation R of it reads ``X Y Z X^-1 Y^-1 Z^-1``
+    letter for letter, and then ``R = [X Y, Z X^-1]``.  With
+    ``|K| = 2m``, ``W1 = R[:m]`` and ``V = (R[m:])^-1`` that is a split
+    ``W1 = X Y Z`` with ``V = Z Y X``.  The scan takes rotations
+    ``R = K[r:] K[:r]`` for r ascending, then ``|X|`` ascending, then
+    ``|Z|`` ascending, and returns the first split it meets; X is empty
+    first, so ``[Y, Z]`` comes out whenever it fits.
+    If ``a = c K c^-1``, then ``a = g R g^-1`` with ``g = c K[:r]``, and
+    both entries are conjugated by g.  No entry length is bounded.
     """
-    n = len(target)
-    z_max = max(0, max_len - (n + 1) // 2)
-    for length in range(1, max_len + 1):
-        found = set()
-        for k in range(min(z_max, length) + 1):
-            ends = length - k
-            if ends > n:
+    conj, core = _cyclic_split(a.codes)
+    n = len(core)
+    # a proper power w^k of [F, F] has cl >= k scl(w) + 1/2 >= 3/2, since
+    # scl(w) >= 1/2 (Duncan-Howie), so only a primitive core can pass
+    if not n or n % 2 or _least_rotation(core)[1] < n:
+        return None
+    m = n // 2
+    doubled = core + core
+    inverse = _inv(doubled)
+    # W1 = X Y Z and V = Z Y X hold the same letters, so a split needs W1
+    # to hold half the letters of each generator: ``surplus`` counts, per
+    # generator, those of W1 less those of R[m:], and ``off`` the
+    # generators where the two differ
+    gens = [abs(c) for c in doubled]
+    surplus = Counter(gens[:m])
+    surplus.subtract(gens[m:n])
+    off = sum(map(bool, surplus.values()))
+    for r in range(n):
+        if r:  # R[0] moves to the end of R[m:], and R[m] to the end of W1
+            for g, d in ((gens[r - 1], -2), (gens[r + m - 1], 2)):
+                off -= bool(surplus[g])
+                surplus[g] += d
+                off += bool(surplus[g])
+        if off:
+            continue
+        W1, V = doubled[r:r + m], inverse[n - r:n + m - r]
+        # the lengths z with Z = W1[m - z:] beginning V
+        zs = [z for z in range(m + 1)
+              if not z or (W1[m - z] == V[0] and V[:z] == W1[m - z:])]
+        for x in range(m + 1):
+            # X = W1[:x] ends V
+            if x and (W1[x - 1] != V[-1] or V[m - x:] != W1[:x]):
                 continue
-            for z in _codes_up_to(rank, k):
-                if len(z) < k:
-                    continue
-                for c in range(ends + 1):
-                    u = target[:c] + z + target[n - ends + c:]
-                    if all(x != -y for x, y in zip(u, u[1:])):
-                        found.add(u)
-        yield from sorted(found, key=_word_key)
-
-
-def _genus_one_search(a: ReducedWord, max_len: int):
-    """First (u, v) in canonical order with [u, v] = a and both lengths
-    within ``max_len``, or None.
-
-    For each candidate u this solves ``v u^-1 v^-1 = u^-1 a`` exactly.
-    Conjugates share a cyclic core K up to rotation, and if
-    ``u^-1 = c1 K c1^-1`` and ``u^-1 a = c2 K c2^-1``, the solutions are
-    the coset ``v_k = c2 root^k c1^-1`` of the cyclic centralizer of u.
-    Since ``v_k = v_0 (c1 root^k c1^-1)`` and a conjugate of the
-    cyclically reduced ``root^k`` has at least ``|k| p`` letters, where p
-    is the period of the primitive root of K,
-    ``|v_k| >= |k| p - |v_0| > max_len`` for ``|k|`` past
-    ``(max_len + |v_0|) // p``, so stopping there keeps the shortest v.
-    Factors are reduced, so products cancel only at junctions; distinct k
-    give distinct words, so the shortest, least v_k is unique.
-
-    Only the candidates of ``_genus_one_candidates`` can pass.  With ``c``
-    the common prefix length of u and a, ``t = u^-1 a`` reduces to
-    ``X Y`` with ``X = u[c:]^-1`` and ``Y = a[c:]``, and a solution needs
-    ``|core t| = |core u| <= max_len``.  Cyclic reduction cancels the
-    first s letters of t against the last s.  If ``s <= |X|, |Y|``, they
-    pair the head of X with the tail of Y, so u ends with ``a[|a| - s:]``
-    and ``u = a[:c] z a[|a| - s:]`` with ``|z| = |X| - s``; then
-    ``2 |z| = |core t| + |u| - |a| <= 2 max_len - |a|``.  Otherwise s
-    exceeds the shorter of the two: ``|X| < |Y|`` leaves z empty, and
-    ``|Y| < |X|`` makes u end with ``a[c:]``, with
-    ``|z| = |u| - |a| <= max_len - |a|``.
-    """
-    rank = a.rank
-    target = a.codes
-    for u_codes in _genus_one_candidates(rank, target, max_len):
-        u_inv = _inv(u_codes)
-        t = _join_codes(u_inv, target)
-        c1_raw, core_u = _cyclic_split(u_inv)
-        c2_raw, core_t = _cyclic_split(t)
-        if len(core_u) != len(core_t):
-            continue
-        i, p = _least_rotation(core_u)
-        j, _ = _least_rotation(core_t)
-        canon_u = core_u[i:] + core_u[:i]
-        if canon_u != core_t[j:] + core_t[:j]:
-            continue
-        c1_inv = _inv(c1_raw + core_u[:i])
-        c2_t = c2_raw + core_t[:j]
-        root, root_inv = canon_u[:p], _inv(canon_u[:p])
-        K = (max_len + len(_join_codes(c2_t, c1_inv))) // p
-        vks = [_join_codes(_join_codes(
-            c2_t, root * k if k >= 0 else root_inv * -k), c1_inv)
-            for k in range(-K, K + 1)]
-        n = min(map(len, vks))
-        if 0 < n <= max_len:
-            v = min((vk for vk in vks if len(vk) == n), key=_word_key)
-            return (ReducedWord(rank, u_codes, _trusted=True),
-                    ReducedWord(rank, v, _trusted=True))
+            for z in zs:
+                if z > m - x:
+                    break
+                if V[z:m - x] == W1[x:m - z]:  # Y follows Z in V
+                    g = conj + core[:r]
+                    entries = (W1[:m - z],  # X Y, then Z X^-1
+                               _join_codes(W1[m - z:], _inv(W1[:x])))
+                    return tuple(ReducedWord(a.rank, _join_codes(
+                        _join_codes(g, e), _inv(g)), _trusted=True)
+                        for e in entries)
     return None
 
 
@@ -414,8 +393,8 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
         return None
     first = _unpack(best)
     rest = _unpack(_join(_inverse(best), target))
-    pair1 = _genus_one_search(ReducedWord(rank, first, _trusted=True), max_len)
-    pair2 = _genus_one_search(ReducedWord(rank, rest, _trusted=True), max_len)
+    pair1 = _genus_one_search(ReducedWord(rank, first, _trusted=True))
+    pair2 = _genus_one_search(ReducedWord(rank, rest, _trusted=True))
     if pair1 is None or pair2 is None:
         raise SoundnessError(
             "index hit could not be rebuilt into commutator pairs")
@@ -444,12 +423,13 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
              ) -> Optional[CommutatorCertificate]:
     """Smallest-genus commutator certificate found within the budget.
 
-    Searches genus 0 (the identity), genus 1 by conjugacy solving, and
-    genus 2 by meeting single-commutator values in the middle; each stage is
-    complete for entries up to ``max_len``, so a None return means no
-    certificate exists within this length budget, not merely that none was
-    found.  Raises NotInCommutatorSubgroupError when no certificate of any
-    genus can exist.
+    Searches genus 0 (the identity), genus 1 by Wicks' commutator form,
+    which is exact and reads no budget, and genus 2 by meeting
+    single-commutator values in the middle, complete for entries up to
+    ``max_len``; ``max_len`` and ``pair_budget`` bound genus 2 only.  So a
+    None return means cl(a) >= 2 and no genus-2 certificate exists within
+    this length budget, not merely that none was found.  Raises
+    NotInCommutatorSubgroupError when no certificate of any genus can exist.
     """
     _check_budgets(max_genus, max_len, pair_budget)
     vec = abelianization(a)
@@ -459,7 +439,7 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
     if a.is_identity():
         return CommutatorCertificate(a, ())
     if max_genus >= 1:
-        hit = _genus_one_search(a, max_len)
+        hit = _genus_one_search(a)
         if hit is not None:
             return CommutatorCertificate(a, (hit,))
     if max_genus >= 2:
@@ -614,10 +594,12 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
 
     The lower bound scans the default counting-pattern dictionary of the
     cyclic core through Bavard duality.  The upper bound searches powers
-    ``a^n`` for commutator certificates, converting genus g at power n into
-    ``(2g - 1) / (2n)``; the loop stops as soon as the bound 1/2 is reached,
-    which no nontrivial word can beat.  Soundness tripwires raise instead of
-    returning nonsense.
+    ``a^n`` for commutator certificates with ``cl_upper``, converting genus
+    g at power n into ``(2g - 1) / (2n)``; the loop stops as soon as the
+    bound 1/2 is reached, which no nontrivial word can beat, and at the
+    first power whose genus-2 budget refuses.  Genus 1 is exact at every
+    power, so ``max_len`` and ``pair_budget`` bound genus 2 only.
+    Soundness tripwires raise instead of returning nonsense.
     """
     _check_budgets(max_genus, max_len, pair_budget, n_max)
     if a.is_identity():

@@ -838,10 +838,12 @@ class TestParserShape:
 
 
 #: ``cl``/``scl`` records at the default budgets, recorded from the index
-#: that stored all 1,850,488 commutator values: Culler's ``[a,b]^2..5``,
-#: seeded products of two commutators with entries of 1 to 4 letters and
-#: their conjugates (hits and misses), two rank-3 words (a genus-1 hit and a
-#: genus-2 budget stop) and one ``--max-len 4`` call
+#: that stored all 1,850,488 commutator values and re-recorded with the
+#: Wicks scan for genus 1: Culler's ``[a,b]^2..5``, seeded products of two
+#: commutators with entries of 1 to 4 letters and their conjugates (hits
+#: and misses), two rank-3 words (a genus-1 hit and a genus-2 budget stop),
+#: one ``--max-len 4`` call, and three products of two commutators whose
+#: exact cl, 2 by letter pairings, the search attains
 GOLDEN_CL_SCL = json.loads((Path(__file__).resolve().parent / "data"
                             / "cl_scl_golden.json").read_text(encoding="utf-8"))
 
@@ -864,11 +866,12 @@ def test_cl_scl_golden_corpus_has_hits_and_misses():
     assert exits.count(3) >= 8 and len(genus_two) >= 20
 
 
-#: ``cl``/``scl`` records at ranks 2 and 3 and ``--max-len`` 2 to 6, recorded
-#: from the genus-1 search that swept every reduced word up to ``max_len``:
-#: per budget, seeded genus-1 hits and misses of 4 to 11 letters,
-#: commutators conjugated by 1 to 5 letters and a proper power, plus
-#: ``(ab)^2``, a conjugated ``[a,b]^2``, ``[a,c]^3`` and a conjugated
+#: ``cl``/``scl`` records at ranks 2 and 3 and ``--max-len`` 2 to 6, chosen
+#: when genus 1 swept every reduced word up to ``max_len`` and re-recorded
+#: with the Wicks scan, which bounds no entry, so ``--max-len`` bounds only
+#: genus 2 here: per budget, seeded genus-1 hits and misses of 4 to 11
+#: letters, commutators conjugated by 1 to 5 letters and a proper power,
+#: plus ``(ab)^2``, a conjugated ``[a,b]^2``, ``[a,c]^3`` and a conjugated
 #: commutator at rank 3
 GOLDEN_GENUS_ONE = json.loads((Path(__file__).resolve().parent / "data"
                                / "genus_one_golden.json")
@@ -897,8 +900,8 @@ def test_genus_one_golden_corpus_covers_the_budgets():
 
 
 def test_rank_ten_genus_two_budget_is_a_clean_exit(capsys):
-    # the genus-1 candidates come from the target, so no rank-10
-    # vocabulary is built before the genus-2 budget refuses
+    # genus 1 reads only the word, so no rank-10 vocabulary is built
+    # before the genus-2 budget refuses
     start = time.perf_counter()
     code = main(["cl", "--word", "[a,b][c,d]", "--rank", "10"])
     captured = capsys.readouterr()
@@ -912,6 +915,33 @@ def test_rank_ten_genus_two_budget_is_a_clean_exit(capsys):
     assert record["certificates"]["pairs"] == [["a", "b"]]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"rank-10 calls took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cl", "--word", "[a,b]^2", "--max-len", "14"],
+    ["scl", "--word", "[a,b]^2[a,c]", "--rank", "6", "--max-len", "64"],
+    ["scl", "--word", "[a,b]^2", "--rank", "10000000", "--max-len", "2"]],
+    ids=" ".join)
+def test_long_entry_budgets_and_large_ranks_exit_cleanly(argv):
+    # genus 1 reads no budget, so these reach the genus-2 pair count, which
+    # refuses before it builds anything: cl says so on one stderr line, and
+    # scl prints its inconclusive record; a child with a 2 GB address space
+    # and 5 s (at rank 10^7 the rank-sized lists take about 250 MB)
+    cap = 2 * 2 ** 30
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scl_lab", *argv], capture_output=True,
+        text=True, env=env, timeout=5,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    if argv[0] == "cl":
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(
+            "scl-lab: budget exhausted: genus-2 search at rank 2, max_len 14")
+    else:
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line)["result"]["status"] == "inconclusive"
+        assert proc.stderr == ""
 
 
 #: ``sol member|cert|decompose|report|mul`` records: the benchmark's four

@@ -456,6 +456,18 @@ class TestEnumeration:
         assert len(last) == 40 and ReducedWord(2, last).codes == last
         assert len(_unrank_codes(2, _count_up_to(2, 39))) == 40
 
+    @pytest.mark.parametrize("rank", [10 ** 4, 10 ** 7])
+    def test_unranking_at_large_ranks(self, rank):
+        # each letter comes from its digit by arithmetic, with no list of
+        # the rank's letters: the first and last words of lengths 1 and 2
+        two = 2 * rank + 1  # the first two-letter word
+        assert [_unrank_codes(rank, i) for i in (1, 2, 2 * rank, two)] \
+            == [(1,), (-1,), (-rank,), (1, 1)]
+        assert _unrank_codes(rank, two + 1) == (1, 2)  # skips -1 after 1
+        assert _unrank_codes(rank, _count_up_to(rank, 2) - 1) \
+            == (-rank, -rank)
+        assert _unrank_codes(rank, two + 2 * rank - 1) == (-1, -1)
+
 
 class TestValidation:
     def test_bad_rank(self):

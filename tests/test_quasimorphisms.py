@@ -195,15 +195,17 @@ class TestDefectScan:
         assert s1.mode == "sampled"
         assert s1.observed <= BROOKS_DEFECT
 
-    @pytest.mark.parametrize("pattern,homogeneous,max_len",
-                             [("ab", False, 7), ("abAB", False, 8),
-                              ("abA", True, 7)])
-    def test_sampled_draws_match_the_listed_words(self, pattern, homogeneous,
-                                                  max_len):
+    @pytest.mark.parametrize("rank,pattern,homogeneous,max_len",
+                             [(2, "ab", False, 7), (2, "abAB", False, 8),
+                              (2, "abA", True, 7), (1, "aa", False, 1600),
+                              (3, "acB", False, 5), (3, "cbC", True, 5)])
+    def test_sampled_draws_match_the_listed_words(self, rank, pattern,
+                                                  homogeneous, max_len):
         # the scan builds only the drawn words; drawing positions from a
-        # list of every word must give the same scan
-        phi = (brooks_homogeneous if homogeneous else brooks)(w(pattern))
-        words = list(enumerate_reduced_words(2, max_len))
+        # list of every word must give the same scan (rank 1 passes the
+        # exhaustive pair limit only near 1,600 letters)
+        phi = (brooks_homogeneous if homogeneous else brooks)(w(pattern, rank))
+        words = list(enumerate_reduced_words(rank, max_len))
         rng = random.Random(11)
         best = 0
         for _ in range(300):

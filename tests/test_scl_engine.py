@@ -11,17 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pairing_oracle import cl as exact_cl
 from scl_lab import free_words, scl_engine
 from scl_lab.free_words import (
     ReducedWord,
     _codes_up_to,
     _count_up_to,
-    _cyclic_split,
     _cyclic_starts,
     _inv,
     _least_rotation,
     _reduce,
-    _word_key,
     commutator,
     cyclically_reduce,
     enumerate_reduced_words,
@@ -42,7 +41,6 @@ from scl_lab.scl_engine import (
     SearchBudgetError,
     _canon,
     _commutator_value_index,
-    _genus_one_candidates,
     _genus_one_search,
     _genus_two_search,
     _indexed,
@@ -226,8 +224,7 @@ def full_walk_genus_two(a, max_len):
         rest = _reduce(_inv(first) + a.codes)
         if rest and _pack(rest) in seen:
             return tuple(
-                _genus_one_search(ReducedWord(a.rank, c, _trusted=True),
-                                  max_len)
+                _genus_one_search(ReducedWord(a.rank, c, _trusted=True))
                 for c in (first, rest))
     return None
 
@@ -327,56 +324,6 @@ class TestGenusTwoLookup:
         assert elapsed < 1.0, f"five misses took {elapsed:.2f}s"
 
 
-def full_sweep_genus_one(a: ReducedWord, max_len: int):
-    """Reference genus-1 search, as it was before the candidates: the exact
-    test on every reduced word up to ``max_len``.
-
-    First (u, v) in canonical order with [u, v] = a and both lengths
-    within ``max_len``, or None.
-
-    For each candidate u this solves the conjugacy equation
-    ``v u^-1 v^-1 = u^-1 a`` exactly: conjugate words share a cyclic core up
-    to rotation, and all solutions v form one coset of the centralizer of u,
-    which is cyclic.  Sweeping that coset finds the shortest solution, so
-    the search is complete at this length budget.
-    """
-    rank = a.rank
-    target = a.codes
-    for u_codes in _codes_up_to(rank, max_len):
-        if not u_codes:
-            continue
-        u_inv = _inv(u_codes)
-        t = _reduce(u_inv + target)
-        c1_raw, core_u = _cyclic_split(u_inv)
-        c2_raw, core_t = _cyclic_split(t)
-        if len(core_u) != len(core_t) or not core_u:
-            continue
-        i, p = _least_rotation(core_u)
-        j, _ = _least_rotation(core_t)
-        canon_u = core_u[i:] + core_u[:i]
-        if canon_u != core_t[j:] + core_t[:j]:
-            continue
-        # u^-1 = c1 K c1^-1 and t = c2 K c2^-1 for the same core K, so
-        # v0 = c2 c1^-1 conjugates u^-1 to t; the full solution set is
-        # v0 <root> for the primitive root of u^-1, of period p
-        c1_t = c1_raw + core_u[:i]
-        c2_t = c2_raw + core_t[:j]
-        seed_v = _reduce(c2_t + _inv(c1_t))
-        K = max_len + len(seed_v) + 2
-        best = None
-        for k in range(-K, K + 1):
-            mid = canon_u[:p] * k if k >= 0 else _inv(canon_u[:p] * (-k))
-            vk = _reduce(c2_t + mid + _inv(c1_t))
-            entry = (len(vk), _word_key(vk), k)
-            if best is None or entry < best[0]:
-                best = (entry, vk)
-        if best is not None and best[0][0] <= max_len and best[1]:
-            u = ReducedWord(rank, u_codes, _trusted=True)
-            v = ReducedWord(rank, best[1], _trusted=True)
-            return (u, v)
-    return None
-
-
 def genus_one_corpus(rng, rank, max_len, count):
     """Nontrivial commutators with entries within ``max_len``, conjugated by
     up to 5 letters, their squares, and reduced words of 4 to 11 letters
@@ -401,7 +348,7 @@ def genus_one_corpus(rng, rank, max_len, count):
     return corpus
 
 
-def window_corpus(rng, rank, max_len, count):
+def proper_power_corpus(rng, rank, max_len, count):
     """Commutators [h r^m h^-1, v] with a root r of 1 or 2 letters and
     m = 2 or 3, half of them conjugated by h r^j w with |w| = 6 to 8."""
     corpus = []
@@ -421,144 +368,157 @@ def window_corpus(rng, rank, max_len, count):
     return corpus
 
 
-def swept_windows(a, max_len):
-    """``((max_len + |v_0|) // p, max_len + |v_0| + 2,
-    (max_len + |c1| + |c2|) // p, p, |core u|, |c1| + |c2|)`` for each
-    coset ``_genus_one_search(a, max_len)`` sweeps: its window, the two
-    older windows and the shape of the coset, computed with ``_reduce`` on
-    whole words."""
-    found = _genus_one_search(a, max_len)
-    out = []
-    for u in _genus_one_candidates(a.rank, a.codes, max_len):
-        c1, core_u = _cyclic_split(_inv(u))
-        c2, core_t = _cyclic_split(_reduce(_inv(u) + a.codes))
-        if len(core_u) != len(core_t) or not core_u:
-            continue
-        i, p = _least_rotation(core_u)
-        j, _ = _least_rotation(core_t)
-        if core_u[i:] + core_u[:i] != core_t[j:] + core_t[:j]:
-            continue
-        c1, c2 = c1 + core_u[:i], c2 + core_t[:j]
-        conj = len(c1) + len(c2)
-        v0 = len(_reduce(c2 + _inv(c1)))
-        out.append(((max_len + v0) // p, max_len + v0 + 2,
-                    (max_len + conj) // p, p, len(core_u), conj))
-        if found is not None and found[0].codes == u:
-            break
-    return out
+def first_wicks_split(a: ReducedWord):
+    """Reference for the scan order: ``(r, X, Y, Z)`` for the first
+    rotation ``r`` of the core below its period, then ``|X|``, then
+    ``|Z|``, with the rotation equal to ``X Y Z X^-1 Y^-1 Z^-1`` as
+    written; whole words are compared, with no letter test first."""
+    core, _ = cyclically_reduce(a)
+    n = len(core)
+    base = a.codes[(len(a) - n) // 2:][:n]  # the core as a reads it
+    for r in range(core.period):
+        R = base[r:] + base[:r]
+        for x in range(n // 2 + 1):
+            for z in range(n // 2 - x + 1):
+                X, Y = R[:x], R[x:n // 2 - z]
+                Z = R[n // 2 - z:n // 2]
+                if R == X + Y + Z + _inv(X) + _inv(Y) + _inv(Z):
+                    return r, X, Y, Z
+    return None
 
 
-def z_max(a, max_len):
-    return max(0, (2 * max_len - len(a)) // 2)
-
-
-class TestGenusOneCandidates:
+class TestWicksScan:
     @pytest.mark.parametrize("rank,max_len,count", [
         (1, 4, 10), (2, 2, 40), (2, 3, 40), (2, 4, 40), (2, 5, 30),
         (2, 6, 20), (3, 2, 30), (3, 3, 30), (3, 4, 15), (3, 5, 10)])
-    def test_matches_full_sweep_on_seeded_corpus(self, rank, max_len, count):
+    def test_matches_the_pairing_oracle_on_seeded_corpus(self, rank, max_len,
+                                                         count):
+        # hits are certified; a core of 20 letters or fewer is also judged
+        # by exact cl, and a longer one is a commutator's square, which a
+        # free group never writes as one commutator
         rng = random.Random(1000 * rank + max_len)
         outcomes = set()
         for a in genus_one_corpus(rng, rank, max_len, count):
-            expected = full_sweep_genus_one(a, max_len)
-            assert _genus_one_search(a, max_len) == expected, str(a)
-            outcomes.add(expected is None)
+            found = _genus_one_search(a)
+            if found is not None:
+                CommutatorCertificate(a, (found,))
+            core, _ = cyclically_reduce(a)
+            if len(core) <= 20:
+                assert (found is not None) == (exact_cl(str(a)) == 1), str(a)
+            else:
+                assert found is None, str(a)
+            outcomes.add(found is None)
         assert outcomes == ({True} if rank == 1 else {True, False})
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.one_of(
         words(12),
         st.builds(lambda u, v, g: g * commutator(u, v) * ~g,
-                  words(4), words(4), words(5))),
-        st.integers(min_value=1, max_value=5))
-    def test_matches_full_sweep_on_random_words(self, a, max_len):
-        assert _genus_one_search(a, max_len) == full_sweep_genus_one(a, max_len)
-
-    def test_matches_full_sweep_at_the_window_edges(self):
-        # u = h r^m h^-1 is a proper power (p < |core u|), and half the
-        # targets are conjugated by g = h r^j w with 6 to 8 letters in w,
-        # which makes |c1| + |c2| large; the corpus must reach cases where
-        # the window (max_len + |v_0|) // p is strictly below each older
-        # one: max_len + |v_0| + 2 and (max_len + |c1| + |c2|) // p
-        targets = [(parse_word(text, rank), 6) for text, rank in (
-            ("[abaaBA,b]", 2), ("[abaaBA,bab]", 2), ("[baBBAB,aBa]", 2),
-            ("[abccBA,cab]", 3), ("[acbbCA,b]", 3))]
-        seen = {"below max_len + |v_0| + 2": 0,
-                "below (max_len + |c1| + |c2|) // p": 0,
-                "proper power": 0, "|c1| + |c2| >= 6": 0, "hit": 0}
-        for rank, max_len, count in ((2, 2, 20), (2, 3, 20), (2, 4, 20),
-                                     (2, 5, 20), (2, 6, 30), (3, 2, 20),
-                                     (3, 3, 20), (3, 4, 20), (3, 5, 10),
-                                     (3, 6, 6)):
-            rng = random.Random(7 * rank + max_len)
-            targets += [(a, max_len)
-                        for a in window_corpus(rng, rank, max_len, count)]
-        for a, max_len in targets:
-            expected = full_sweep_genus_one(a, max_len)
-            assert _genus_one_search(a, max_len) == expected, str(a)
-            seen["hit"] += expected is not None
-            for window, old, bound, p, core, conj in swept_windows(
-                    a, max_len):
-                seen["below max_len + |v_0| + 2"] += window < old
-                seen["below (max_len + |c1| + |c2|) // p"] += window < bound
-                seen["proper power"] += p < core
-                seen["|c1| + |c2| >= 6"] += conj >= 6
-        assert all(seen.values()), seen
+                  words(4), words(4), words(5))))
+    def test_matches_the_pairing_oracle_on_random_words(self, a):
+        found = _genus_one_search(a)
+        assert (found is not None) == (exact_cl(str(a)) == 1)
+        if found is not None:
+            CommutatorCertificate(a, (found,))
 
     @pytest.mark.parametrize("rank,max_len", [(2, 2), (2, 3), (3, 2)])
-    def test_candidates_hold_every_solution(self, rank, max_len):
-        # every u of every pair [u, v] = a within max_len is a candidate,
-        # including the u that need a middle z of the full bound
+    def test_every_value_is_found(self, rank, max_len):
+        # every nontrivial [u, v] with entries within max_len
         vocab = [c for c in _codes_up_to(rank, max_len) if c]
-        solutions = {}
-        for u in vocab:
-            for v in vocab:
-                a = _reduce(u + v + _inv(u) + _inv(v))
-                if a:
-                    solutions.setdefault(a, set()).add(u)
-        for a, us in solutions.items():
-            candidates = list(_genus_one_candidates(rank, a, max_len))
-            assert us <= set(candidates), _reduce(a)
-            assert len(set(candidates)) == len(candidates)
-            keys = [(len(u), [2 * c if c > 0 else 1 - 2 * c for c in u])
-                    for u in candidates]
-            assert keys == sorted(keys)
+        values = {_reduce(u + v + _inv(u) + _inv(v))
+                  for u in vocab for v in vocab} - {()}
+        for codes in values:
+            a = ReducedWord(rank, codes, _trusted=True)
+            found = _genus_one_search(a)
+            assert found is not None, str(a)
+            CommutatorCertificate(a, (found,))
 
-    @pytest.mark.parametrize("rank,max_len", [(1, 4), (2, 4), (3, 3)])
-    def test_identity_is_no_genus_one_value(self, rank, max_len):
-        # every u conjugates u^-1 to itself, but only by a power of its
-        # root, whose commutator with u is trivial
-        identity = ReducedWord(rank, ())
-        assert full_sweep_genus_one(identity, max_len) is None
-        assert _genus_one_search(identity, max_len) is None
+    def test_proper_power_entries_and_long_conjugators(self):
+        # u = h r^m h^-1 is a proper power, and half the targets are
+        # conjugated by h r^j w with 6 to 8 letters in w
+        corpus = [parse_word(text, rank) for text, rank in (
+            ("[abaaBA,b]", 2), ("[abaaBA,bab]", 2), ("[baBBAB,aBa]", 2),
+            ("[abccBA,cab]", 3), ("[acbbCA,b]", 3))]
+        for rank, max_len, count in ((2, 3, 30), (2, 6, 30), (3, 3, 30),
+                                     (3, 6, 10)):
+            corpus += proper_power_corpus(random.Random(7 * rank + max_len),
+                                          rank, max_len, count)
+        for a in corpus:
+            found = _genus_one_search(a)
+            assert found is not None, str(a)
+            CommutatorCertificate(a, (found,))
 
-    def test_middles_are_needed_at_the_bound(self):
-        # abAB = [aaB, v] for some v within 3 letters, and aaB is
-        # a . a . B: prefix, a middle of z_max = 1 letter, suffix
-        a = w("abAB").codes
-        assert (1, 1, -2) in set(_genus_one_candidates(2, a, 3))
-        assert z_max(a, 3) == 1
+    def test_returns_the_first_split_in_the_documented_order(self):
+        rng = random.Random(26)
+        corpus = genus_one_corpus(rng, 2, 4, 60) + genus_one_corpus(
+            rng, 3, 3, 40) + proper_power_corpus(rng, 2, 4, 20)
+        corpus += [power(w("[a,b]"), k) for k in (1, 2, 3)]
+        hits = 0
+        for a in corpus:
+            split = first_wicks_split(a)
+            found = _genus_one_search(a)
+            assert (found is None) == (split is None), str(a)
+            if split is None:
+                continue
+            hits += 1
+            r, X, Y, Z = split
+            core, _ = cyclically_reduce(a)
+            n = len(core)
+            g = ReducedWord(a.rank, a.codes[:(len(a) - n) // 2]
+                            + a.codes[(len(a) - n) // 2:][:r])
+            u, v = ReducedWord(a.rank, X + Y), ReducedWord(a.rank, Z + _inv(X))
+            assert found == (g * u * ~g, g * v * ~g), str(a)
+        assert hits >= 60
 
-    def test_vocabulary_never_requested_above_the_bound(self, monkeypatch):
-        asked = []
-        real = scl_engine._codes_up_to
+    @pytest.mark.parametrize("text,pair", [
+        ("[a,b]", ("a", "b")),
+        ("[b,a]", ("b", "a")),
+        ("c[a,b]C", ("caC", "cbC")),
+        ("bABa", ("b", "A")),
+        ("[ab,ba]", ("ab", "ba")),
+    ])
+    def test_pinned_pairs(self, text, pair):
+        a = w(text, rank=3)
+        assert tuple(map(str, _genus_one_search(a))) == pair
 
-        def spy(rank, max_len):
-            asked.append(max_len)
-            return real(rank, max_len)
+    def test_long_words_and_their_powers_are_cheap(self):
+        # a split needs the first half of a rotation to hold half the
+        # letters of each generator, and a proper power is never a
+        # commutator; reading every rotation took 2.4 s for the
+        # 2,000-letter miss and 4.5 s for the fourth power of 1,000 letters
+        rng = random.Random(2000)
+        e = [random_reduced(rng, 2, 250) for _ in range(6)]
+        g = random_reduced(rng, 2, 9)
+        hit = g * commutator(e[0], e[1]) * ~g
+        miss = commutator(e[2], e[3]) * commutator(e[4], e[5])
+        assert len(cyclically_reduce(miss)[0]) >= 1900
+        start = time.perf_counter()
+        CommutatorCertificate(hit, (_genus_one_search(hit),))
+        for a in (miss, power(hit, 2), power(hit, 4)):
+            assert _genus_one_search(a) is None
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"2,000-letter scans took {elapsed:.2f}s"
 
-        monkeypatch.setattr(scl_engine, "_codes_up_to", spy)
-        rng = random.Random(5)
-        for rank, max_len in ((2, 6), (3, 5), (10, 4)):
-            for a in genus_one_corpus(rng, rank, 3, 12):
-                asked.clear()
-                _genus_one_search(a, max_len)
-                assert max(asked, default=0) <= z_max(a, max_len), str(a)
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_identity_is_no_genus_one_value(self, rank):
+        assert _genus_one_search(ReducedWord(rank, ())) is None
 
-    def test_long_target_has_few_candidates(self):
-        a = parse_word("[a,b][c,d][e,f][g,h]", 10)
-        assert len(list(_genus_one_candidates(10, a.codes, 6))) <= 27
+    def test_no_vocabulary_and_no_rank_sized_work(self, monkeypatch):
+        # the scan reads the word alone: no enumeration, at any rank
+        def refuse(rank, max_len):
+            raise AssertionError(f"_codes_up_to({rank}, {max_len})")
 
+        for module in (free_words, scl_engine):
+            monkeypatch.setattr(module, "_codes_up_to", refuse)
+        start = time.perf_counter()
+        for rank in (10, 10 ** 6):
+            a = parse_word("[a,b][c,d][e,f][g,h]", rank)
+            assert _genus_one_search(a) is None
+            found = _genus_one_search(parse_word("[abcde,fghij]", rank))
+            assert found == (parse_word("abcde", rank),
+                             parse_word("fghij", rank))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"rank-sized scans took {elapsed:.2f}s"
 
 class TestOrbitIndex:
     # rank 1 has no nontrivial value; at rank 4 and max_len 2 no u uses
