@@ -11,6 +11,7 @@ the word, not an estimate.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -66,6 +67,19 @@ _PACK_OFFSET = 64  # byte packing supports letter codes in [-63, 63]
 
 class NotInCommutatorSubgroupError(ValueError):
     """The word has nonzero abelianization, so no commutator product equals it."""
+
+
+def _in_commutator_subgroup(a: ReducedWord) -> bool:
+    """Whether ``a`` has zero abelianization, counting only the letters it
+    uses, so the cost does not grow with the rank."""
+    counts = Counter(a.codes)
+    return all(counts[c] == counts[-c] for c in counts)
+
+
+def _require_commutator_subgroup(a: ReducedWord) -> None:
+    if not _in_commutator_subgroup(a):
+        raise NotInCommutatorSubgroupError(
+            f"{a} has nonzero abelianization {abelianization(a)}")
 
 
 @dataclass(frozen=True)
@@ -241,18 +255,114 @@ def _restore_tables(rank: int, sig: bytes, extra: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
+# The index keeps each word as an integer key: its letters read as the
+# digits of a base ``2 rank`` number, where the letters -rank, ..., -1,
+# 1, ..., rank are the digits 0, ..., 2 rank - 1.  Digits follow the byte
+# order of packed letters, so within one length integer order is byte
+# order, and the words of a length that begin with a prefix are one range
+# of keys.
+
+#: the numerals ``int(text, base)`` reads, up to base 36
+_NUMERALS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+@lru_cache(maxsize=64)
+def _digit_table(rank: int) -> bytes:
+    """``bytes.translate`` table from packed letters to their digits: as
+    numerals up to rank 18 (base 36), as byte values above."""
+    digits = _NUMERALS if 2 * rank <= len(_NUMERALS) else range(256)
+    table = bytearray(256)
+    for d, c in enumerate([*range(-rank, 0), *range(1, rank + 1)]):
+        table[c + _PACK_OFFSET] = digits[d]
+    return bytes(table)
+
+
+@lru_cache(maxsize=4096)
+def _key_table(rank: int, sig: bytes) -> bytes:
+    """``_canon_table`` followed by ``_digit_table``: one translation from a
+    word with first letters ``sig`` to the digits of its canonical form."""
+    return _canon_table(rank, sig).translate(_digit_table(rank))
+
+
+def _number(digits: bytes, base: int) -> int:
+    """The integer that ``digits``, translated by ``_digit_table``, spell."""
+    if base <= len(_NUMERALS):
+        return int(digits, base) if digits else 0
+    n = 0
+    for d in digits:
+        n = n * base + d
+    return n
+
+
+def _encode(key: bytes, rank: int) -> int:
+    """The integer key of the packed word ``key``."""
+    return _number(key.translate(_digit_table(rank)), 2 * rank)
+
+
+@lru_cache(maxsize=64)
+def _columns(rank: int) -> tuple[int, tuple[bytes, ...]]:
+    """``(width, columns)``: ``width`` is the most digits whose values
+    number at most 256, and ``columns[j]`` is the ``bytes.translate`` table
+    from the value of ``width`` digits to the ``j``-th of their packed
+    letters."""
+    letters = [*range(-rank, 0), *range(1, rank + 1)]
+    width = 1
+    while len(letters) ** (width + 1) <= 256:
+        width += 1
+    chunks = list(product(letters, repeat=width))
+    return width, tuple(
+        bytes(c[j] + _PACK_OFFSET for c in chunks).ljust(256, b"\0")
+        for j in range(width))
+
+
+def _decode(numbers, length: int, rank: int) -> list[bytes]:
+    """The packed words of ``length`` letters whose integer keys are
+    ``numbers``.
+
+    Each key is cut into chunks of ``width`` digits, by ``int.to_bytes``
+    where there are 256 chunk values and by division elsewhere, and each
+    of the ``width`` letters of a chunk is one translation of the chunks of
+    every key at once.
+    """
+    width, columns = _columns(rank)
+    size = (2 * rank) ** width
+    count = -(-length // width) or 1  # chunks a key takes
+    if size == 256:
+        data = b"".join([n.to_bytes(count, "big") for n in numbers])
+    else:
+        data = bytearray()
+        for n in numbers:
+            row = bytearray(count)
+            for i in reversed(range(count)):
+                n, row[i] = divmod(n, size)
+            data += row
+    letters = bytearray(width * len(data))
+    for j, column in enumerate(columns):
+        letters[j::width] = data.translate(column)
+    letters = bytes(letters)
+    step = width * count
+    return [letters[i - length:i]
+            for i in range(step, len(letters) + 1, step)]
+
+
+#: the largest key an ``array("Q")`` holds, plus one
+_WORD_KEYS = 1 << 64
+
+
 @lru_cache(maxsize=4)
 def _commutator_value_index(rank: int, max_len: int):
     """Values of single commutators with both entries within ``max_len``,
     one per orbit of the signed letter permutations.
 
-    Returns the representatives packed as byte strings in ``(len, bytes)``
-    order, and ``bounds[length] = (lo, hi)``, the slice of each length.
-    Each length class is collected and sorted on its own (buckets of ``v``
-    below share a length too), so no set of every key is held.
-    Since ``s[u, v] = [su, sv]``, it is enough to let ``u`` range over
-    canonical words.  The full value set is closed under inversion because
-    ``[u, v]^-1 = [v, u]``.
+    Returns the representatives as integer keys (see ``_encode``) in
+    ``(len, bytes)`` order of their words, and ``bounds[length] = (lo,
+    hi)``, the slice of each length.  The keys are one flat
+    ``array("Q")``, 8 bytes a key, unless the longest length needs more
+    than 64 bits, when they are a list.  Each length class is collected
+    and sorted on its own (buckets of ``v`` below share a length too), so
+    no set of every key is held.  Since ``s[u, v] = [su, sv]``, it is
+    enough to let ``u`` range over canonical words.  The full value set is
+    closed under inversion because ``[u, v]^-1 = [v, u]``.
 
     ``[u, v] = u v u^-1 v^-1`` can cancel only at its three junctions,
     and only if ``v`` begins with ``u[-1]^-1``, ends with ``u[-1]`` or ends
@@ -262,20 +372,32 @@ def _commutator_value_index(rank: int, max_len: int):
     A word that begins with the stem of canonical ``u`` has the signature
     of ``u``, whose relabelling fixes every letter, so it is canonical.
     Where no junction cancels and ``u`` has a stem, every value of the
-    bucket is the plain concatenation and goes in as it is.  Otherwise each
-    junction is joined only if its two letters cancel, and the result is
-    relabelled only if it does not begin with the stem.
+    bucket is the plain concatenation, whose key is a sum of the keys of
+    its four parts.  Otherwise each junction whose two letters cancel is
+    measured on its own; where no two cancellations meet, the value is the
+    four parts cut once each, and elsewhere the junctions are joined in
+    turn.  The result is relabelled only if it does not begin with the
+    stem.
     """
+    base = 2 * rank
+    digits = _digit_table(rank)
     vocab = [_pack(c) for c in _codes_up_to(rank, max_len) if c]
     ends: dict[tuple[int, int, int], list] = {}
     for v in vocab:
         ends.setdefault((v[0], v[-1], len(v)), []).append((v, _inverse(v)))
-    classes: dict[int, list] = {}
+    # values have even length, at most 4 max_len
+    classes: dict[int, Union[array, list]] = {
+        length: array("Q") if base ** length <= _WORD_KEYS else []
+        for length in range(2, 4 * max_len + 1, 2)}
+
+    # the key of v and v^-1 in their places in u v u^-1 v^-1, per v of a
+    # bucket, by bucket and |u|
+    tails: dict[tuple[int, int, int, int], list[int]] = {}
     for u in vocab:
         if _canon(u, rank) != u:
             continue
         iu = _inverse(u)
-        first, last = u[0], u[-1]
+        n, first, last = len(u), u[0], u[-1]
         sig = _signature(u, rank)
         stem = u[:u.index(sig[-1]) + 1] if len(sig) == rank else None
         for (f, l, m), bucket in ends.items():
@@ -284,54 +406,89 @@ def _commutator_value_index(rank: int, max_len: int):
             cancels_iu_iv = l + first == 2 * _PACK_OFFSET
             if stem is not None and not (
                     cancels_u_v or cancels_v_iu or cancels_iu_iv):
-                classes.setdefault(2 * (len(u) + m), []).extend(
-                    [u + v + iu + iv for v, iv in bucket])
+                ends_key = (f, l, m, n)
+                if ends_key not in tails:
+                    tails[ends_key] = [
+                        _encode(v, rank) * base ** (n + m) + _encode(iv, rank)
+                        for v, iv in bucket]
+                head = (_encode(u, rank) * base ** (n + 2 * m)
+                        + _encode(iu, rank) * base ** m)
+                classes[2 * (n + m)].extend(map(head.__add__,
+                                                tails[ends_key]))
                 continue
+            short = min(n, m)
             for v, iv in bucket:
-                c = _join(u, v) if cancels_u_v else u + v
-                # u v u^-1 is never empty, since v is not
-                c = _join(c, iu) if c and c[-1] == last else c + iu
-                c = _join(c, iv) if c[-1] == l else c + iv
+                # letters cancelling at each junction, as if alone
+                k1 = k2 = k3 = 0
+                if cancels_u_v:
+                    k1 = 1
+                    while k1 < short and iu[k1] == v[k1]:
+                        k1 += 1
+                if cancels_v_iu:
+                    k2 = 1
+                    while k2 < short and iv[k2] == iu[k2]:
+                        k2 += 1
+                if cancels_iu_iv:
+                    k3 = 1
+                    while k3 < short and u[k3] == iv[k3]:
+                        k3 += 1
+                if k1 + k2 < m and k2 + k3 < n:  # they do not meet
+                    c = u[:n - k1] + v[k1:m - k2] + iu[k2:n - k3] + iv[k3:]
+                else:
+                    c = _join(_join(_join(u, v), iu), iv)
                 if c:
-                    classes.setdefault(len(c), []).append(
-                        c if stem is not None and c.startswith(stem)
-                        else _canon(c, rank))
-    ordered: list[bytes] = []
+                    table = (digits if stem is not None and c.startswith(stem)
+                             else _key_table(rank, _signature(c, rank)))
+                    classes[len(c)].append(_number(c.translate(table), base))
+    ordered = array("Q") if base ** (4 * max_len) <= _WORD_KEYS else []
     bounds: dict[int, tuple[int, int]] = {}
     for length in sorted(classes):
+        if not classes[length]:
+            continue
         lo = len(ordered)
-        ordered += sorted(set(classes.pop(length)))
+        ordered.extend(sorted(set(classes.pop(length))))
         bounds[length] = (lo, len(ordered))
     return ordered, bounds
 
 
-def _indexed(ordered: list, bounds: dict, key: bytes) -> bool:
-    """Whether the canonical ``key`` is in the index: one bisection inside
-    its length class."""
+def _indexed(ordered, bounds: dict, rank: int, key: bytes) -> bool:
+    """Whether the canonical form of ``key`` is in the index: one
+    translation to its digits and one bisection inside its length class."""
     lo, hi = bounds.get(len(key), (0, 0))
-    i = bisect_left(ordered, key, lo, hi)
-    return i < hi and ordered[i] == key
+    if lo == hi:
+        return False
+    table = _key_table(rank, _signature(key, rank))
+    number = _number(key.translate(table), 2 * rank)
+    i = bisect_left(ordered, number, lo, hi)
+    return i < hi and ordered[i] == number
 
 
-def _prefix_range(ordered: list, bounds: dict, rank: int, length: int,
+def _prefix_range(ordered, bounds: dict, rank: int, length: int,
                   prefix: bytes) -> list:
     """Words of the full value set of ``length`` that begin with ``prefix``,
     in index order.
 
     They are the images of the representatives that begin with the
     canonical form of ``prefix`` under the relabellings that send it back
-    to ``prefix``.  Relabelling does not keep byte order, so the images are
-    sorted.
+    to ``prefix``; those keys are one range, and only they are decoded.
+    Relabelling does not keep byte order, so the images are sorted.
     """
-    sig = _signature(prefix, rank)
-    head = prefix.translate(_canon_table(rank, sig))
     lo, hi = bounds.get(length, (0, 0))
-    lo = bisect_left(ordered, head, lo, hi)
-    # packed letters are below 0xff, so this bounds every extension
-    hi = bisect_left(ordered, head + b"\xff", lo, hi)
+    spare = length - len(prefix)
+    if lo == hi or spare < 0:
+        return []
+    sig = _signature(prefix, rank)
+    base = 2 * rank
+    head = _number(prefix.translate(_key_table(rank, sig)), base)
+    lo = bisect_left(ordered, head * base ** spare, lo, hi)
+    hi = bisect_left(ordered, (head + 1) * base ** spare, lo, hi)
+    if lo == hi:
+        return []
     words = []
-    for rep in ordered[lo:hi]:
-        extra = len(_signature(rep, rank)) - len(sig)
+    for rep in _decode(ordered[lo:hi], length, rank):
+        # a prefix that uses every generator leaves none to relabel
+        extra = (len(_signature(rep, rank)) - len(sig) if len(sig) < rank
+                 else 0)
         for table in _restore_tables(rank, sig, extra):
             words.append(rep.translate(table))
     words.sort()
@@ -368,14 +525,14 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     if not ordered:
         return None
     target = _pack(a.codes)
-    longest = len(ordered[-1])
+    longest = max(bounds)
     h = (len(target) + 1) // 2
     best: Optional[bytes] = None
     head = target[:h]
     for length in range(len(head), longest + 1):
         for key in _prefix_range(ordered, bounds, rank, length, head):
             rest = _join(_inverse(key), target)
-            if rest and _indexed(ordered, bounds, _canon(rest, rank)):
+            if rest and _indexed(ordered, bounds, rank, rest):
                 best = key
                 break
         if best is not None:
@@ -386,7 +543,7 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
             break
         for key in _prefix_range(ordered, bounds, rank, length, tail):
             first = _join(target, key)
-            if _indexed(ordered, bounds, _canon(first, rank)) and (
+            if _indexed(ordered, bounds, rank, first) and (
                     best is None or (len(first), first) < (len(best), best)):
                 best = first
     if best is None:
@@ -432,10 +589,7 @@ def cl_upper(a: ReducedWord, *, max_genus: int = DEFAULT_MAX_GENUS,
     NotInCommutatorSubgroupError when no certificate of any genus can exist.
     """
     _check_budgets(max_genus, max_len, pair_budget)
-    vec = abelianization(a)
-    if any(vec):
-        raise NotInCommutatorSubgroupError(
-            f"{a} has nonzero abelianization {vec}")
+    _require_commutator_subgroup(a)
     if a.is_identity():
         return CommutatorCertificate(a, ())
     if max_genus >= 1:
@@ -526,10 +680,7 @@ def cl_lower(a: ReducedWord) -> int:
     """
     if a.is_identity():
         return 0
-    vec = abelianization(a)
-    if any(vec):
-        raise NotInCommutatorSubgroupError(
-            f"{a} has nonzero abelianization {vec}")
+    _require_commutator_subgroup(a)
     lower, _ = scl_lower_bavard(a)
     return max(1, math.ceil(lower + Fraction(1, 2)))
 
@@ -606,8 +757,7 @@ def scl_report(a: ReducedWord, *, n_max: int = DEFAULT_N_MAX,
         return SclReport(
             word=a, status="bounded", lower=Fraction(0), upper=Fraction(0),
             certificate=CommutatorCertificate(a, ()), power=1, power_genus=0)
-    vec = abelianization(a)
-    if any(vec):
+    if not _in_commutator_subgroup(a):
         return SclReport(word=a, status="not_in_commutator_subgroup",
                          lower=None, upper=None)
     core, _ = cyclically_reduce(a)

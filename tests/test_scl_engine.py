@@ -39,8 +39,9 @@ from scl_lab.scl_engine import (
     CommutatorCertificate,
     NotInCommutatorSubgroupError,
     SearchBudgetError,
-    _canon,
     _commutator_value_index,
+    _decode,
+    _encode,
     _genus_one_search,
     _genus_two_search,
     _indexed,
@@ -520,6 +521,49 @@ class TestWicksScan:
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5, f"rank-sized scans took {elapsed:.2f}s"
 
+
+def decoded_index(rank, max_len):
+    """The words of the index, packed, in index order."""
+    ordered, bounds = _commutator_value_index(rank, max_len)
+    return [word for length, (lo, hi) in bounds.items()
+            for word in _decode(ordered[lo:hi], length, rank)]
+
+
+@st.composite
+def same_length_words(draw):
+    """A rank from 1 to 63 and two packed words of one length from 0 to
+    4 max_len, the longest value; keys pass 64 bits from rank 4 on, and
+    ranks above 18 pass the numerals of ``int(text, base)``."""
+    rank = draw(st.integers(1, 63))
+    length = draw(st.integers(0, 4 * DEFAULT_MAX_LEN))
+    letters = st.sampled_from(
+        [s * g for g in range(1, rank + 1) for s in (1, -1)])
+    return rank, [_pack(tuple(draw(st.lists(
+        letters, min_size=length, max_size=length)))) for _ in range(2)]
+
+
+class TestKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(same_length_words())
+    def test_keys_round_trip_and_keep_byte_order(self, case):
+        rank, words = case
+        keys = [_encode(word, rank) for word in words]
+        assert _decode(keys, len(words[0]), rank) == words
+        assert all(0 <= k < (2 * rank) ** len(words[0]) for k in keys)
+        assert (keys[0] < keys[1]) == (words[0] < words[1])
+
+    def test_wide_keys_make_a_list(self, monkeypatch):
+        # keys pass 64 bits only past a pair budget of billions, so the
+        # limit is lowered here: 4 max_len = 12 base-4 digits take 24 bits
+        build = _commutator_value_index.__wrapped__
+        ordered, bounds = build(2, 3)
+        assert ordered.typecode == "Q"
+        monkeypatch.setattr(scl_engine, "_WORD_KEYS", 1 << 20)
+        wide, wide_bounds = build(2, 3)
+        assert isinstance(wide, list) and max(wide) >= 1 << 20
+        assert (wide, wide_bounds) == (ordered.tolist(), bounds)
+
+
 class TestOrbitIndex:
     # rank 1 has no nontrivial value; at rank 4 and max_len 2 no u uses
     # every generator, so every value needs relabelling, even where no
@@ -527,7 +571,7 @@ class TestOrbitIndex:
     @pytest.mark.parametrize("rank,max_len", [
         (1, 4), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
     def test_orbits_expand_to_the_brute_force_values(self, rank, max_len):
-        ordered, bounds = _commutator_value_index(rank, max_len)
+        ordered = decoded_index(rank, max_len)
         assert ordered == sorted(set(ordered), key=lambda k: (len(k), k))
         assert signed_permutation_images(ordered, rank) \
             == brute_force_values(rank, max_len)[1]
@@ -540,7 +584,8 @@ class TestOrbitIndex:
     @pytest.mark.parametrize("rank,max_len", [
         (1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (2, DEFAULT_MAX_LEN)])
     def test_bounds_split_ordered_into_length_classes(self, rank, max_len):
-        ordered, bounds = _commutator_value_index(rank, max_len)
+        keys, bounds = _commutator_value_index(rank, max_len)
+        ordered = decoded_index(rank, max_len)
         assert list(bounds) == sorted(bounds)
         assert set(bounds) == {len(k) for k in ordered}
         end = 0
@@ -549,13 +594,17 @@ class TestOrbitIndex:
             assert {len(k) for k in ordered[lo:hi]} == {length}
             assert all(x < y for x, y in zip(ordered[lo:hi],
                                              ordered[lo + 1:hi]))
+            assert all(x < y for x, y in zip(keys[lo:hi], keys[lo + 1:hi]))
+            assert [_encode(k, rank) for k in ordered[lo:hi]] \
+                == list(keys[lo:hi])
             end = hi
-        assert end == len(ordered)
+        assert end == len(ordered) == len(keys)
 
     def test_default_index_is_pinned(self):
         # recorded from the build that relabelled every value; the shared,
         # cached build of the default budget
-        ordered, bounds = _commutator_value_index(2, DEFAULT_MAX_LEN)
+        _, bounds = _commutator_value_index(2, DEFAULT_MAX_LEN)
+        ordered = decoded_index(2, DEFAULT_MAX_LEN)
         assert len(ordered) == 231311
         assert len(set(ordered)) == len(ordered)
         assert bounds[4] == (0, 1) and bounds[24] == (181625, 231311)
@@ -565,8 +614,8 @@ class TestOrbitIndex:
     @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
     def test_membership_is_the_brute_force_membership(self, rank, max_len):
         # every reduced word up to the longest value, 4 max_len, through
-        # the canonical form and one bisection in its length class; odd
-        # lengths and length 2 have no class
+        # the key of its canonical form and one bisection in its length
+        # class; odd lengths and length 2 have no class
         ordered, bounds = _commutator_value_index(rank, max_len)
         _, full = brute_force_values(rank, max_len)
         letters = [_pack((s * g,)) for g in range(1, rank + 1)
@@ -577,7 +626,7 @@ class TestOrbitIndex:
             # packed inverse letters sum to 128
             for word in (u + x for u in level for x in letters
                          if not u or u[-1] + x[0] != 128):
-                found = _indexed(ordered, bounds, _canon(word, rank))
+                found = _indexed(ordered, bounds, rank, word)
                 assert found == (word in full), word
                 hits += found
                 checked += 1
@@ -600,9 +649,16 @@ class TestOrbitIndex:
                 assert _prefix_range(ordered, bounds, rank, length, prefix) \
                     == expected, (codes, length)
 
+    def test_empty_prefix_reads_the_whole_class(self):
+        ordered, bounds = _commutator_value_index(3, 2)
+        full, _ = brute_force_values(3, 2)
+        for length in (0, 2, 4, 6, 8, 10):
+            assert _prefix_range(ordered, bounds, 3, length, b"") \
+                == [k for k in full if len(k) == length]
+
     def test_build_keeps_only_the_sorted_keys(self):
-        # what the build leaves allocated is the key list with its keys
-        # and the bounds; a hash set of every key would add about 150 %
+        # what the build leaves allocated is 8 bytes a key, in one array,
+        # and the bounds; separate bytes keys would add about 600 %
         build = _commutator_value_index.__wrapped__
         build(2, 5)  # fills the helper caches
         tracemalloc.start()
@@ -612,10 +668,24 @@ class TestOrbitIndex:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(ordered) == 23561
-        floor = (sum(map(sys.getsizeof, ordered)) + sys.getsizeof(ordered)
-                 + sys.getsizeof(bounds))
+        assert len(ordered) == 23561 and ordered.itemsize == 8
+        floor = 8 * len(ordered) + sys.getsizeof(bounds)
         assert abs(kept / floor - 1) <= 0.05, (kept, floor)
+
+    def test_default_build_memory(self):
+        # separate packed bytes keys kept about 14 MB and peaked at 17 MB
+        build = _commutator_value_index.__wrapped__
+        build(2, 5)  # fills the helper caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ordered, bounds = build(2, DEFAULT_MAX_LEN)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(ordered) == 231311
+        assert kept <= 2.5e6 and peak <= 8e6, (kept, peak)
 
 
 class TestLowerBounds:
@@ -626,8 +696,27 @@ class TestLowerBounds:
         assert cl_lower(w("[a,b]^13")) == 2
 
     def test_cl_lower_rejects_nonzero_abelianization(self):
-        with pytest.raises(NotInCommutatorSubgroupError):
-            cl_lower(w("aab"))
+        for check in (cl_lower, cl_upper):
+            with pytest.raises(NotInCommutatorSubgroupError) as info:
+                check(w("aab", 3))
+            assert str(info.value) == "aab has nonzero abelianization (2, 1, 0)"
+
+    def test_membership_does_not_grow_with_the_rank(self):
+        # the letters the word uses are counted, not a vector of rank
+        # entries, which took 15 MB at rank 10^6
+        a = parse_word("[a,b]^2", 10 ** 6)
+        tracemalloc.start()
+        try:
+            report = scl_report(a, max_len=2)
+            with pytest.raises(SearchBudgetError):
+                cl_upper(a, max_len=2)
+            assert cl_lower(a) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "inconclusive"
+        assert peak < 1e6, peak
+        assert scl_report(w("aab")).status == "not_in_commutator_subgroup"
 
     def test_bavard_documented(self):
         bound, witness = scl_lower_bavard(w("[a,b]"))
