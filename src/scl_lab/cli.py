@@ -692,6 +692,13 @@ def main(argv: Optional[list] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         records, code = args.handler(args)
+        _emit(records, args.table)
+    except MemoryError:
+        # the last guard: a stage that outgrew the memory the process may
+        # use is a budget that ran out, not a bug in the input
+        print(f"{PROG}: budget exhausted: {args.command} ran out of memory",
+              file=sys.stderr)
+        return SearchBudgetError.exit_code
     except SclLabError as exc:
         print(f"{PROG}: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -706,7 +713,6 @@ def main(argv: Optional[list] = None) -> int:
             exc = "out of float range at " + ", ".join(floats)
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    _emit(records, args.table)
     return code
 
 

@@ -66,7 +66,20 @@ _PACK_OFFSET = 64  # byte packing supports letter codes in [-63, 63]
 
 
 class NotInCommutatorSubgroupError(ValueError):
-    """The word has nonzero abelianization, so no commutator product equals it."""
+    """The word has nonzero abelianization, so no commutator product equals it.
+
+    It holds the word and spells the abelianization, a vector of rank
+    entries, only when its text is read, so a caller that catches it pays
+    nothing that grows with the rank.
+    """
+
+    def __init__(self, word: ReducedWord):
+        super().__init__(word)
+        self.word = word
+
+    def __str__(self) -> str:
+        vector = abelianization(self.word)
+        return f"{self.word} has nonzero abelianization {vector}"
 
 
 def _in_commutator_subgroup(a: ReducedWord) -> bool:
@@ -78,8 +91,7 @@ def _in_commutator_subgroup(a: ReducedWord) -> bool:
 
 def _require_commutator_subgroup(a: ReducedWord) -> None:
     if not _in_commutator_subgroup(a):
-        raise NotInCommutatorSubgroupError(
-            f"{a} has nonzero abelianization {abelianization(a)}")
+        raise NotInCommutatorSubgroupError(a)
 
 
 @dataclass(frozen=True)
@@ -217,21 +229,6 @@ def _signature(key: bytes, rank: int) -> bytes:
 
 
 @lru_cache(maxsize=4096)
-def _canon_table(rank: int, sig: bytes) -> bytes:
-    table = bytearray(range(256))
-    for i, x in enumerate(sig):
-        table[x] = _PACK_OFFSET - (rank - i)
-        table[2 * _PACK_OFFSET - x] = _PACK_OFFSET + (rank - i)
-    return bytes(table)
-
-
-def _canon(key: bytes, rank: int) -> bytes:
-    """The representative of the orbit of ``key`` under signed letter
-    permutations."""
-    return key.translate(_canon_table(rank, _signature(key, rank)))
-
-
-@lru_cache(maxsize=4096)
 def _restore_tables(rank: int, sig: bytes, extra: int) -> tuple[bytes, ...]:
     """Every relabelling that sends the canonical form of a word with first
     letters ``sig`` back to that word, restricted to the generators of a
@@ -255,63 +252,62 @@ def _restore_tables(rank: int, sig: bytes, extra: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
-# The index keeps each word as an integer key: its letters read as the
-# digits of a base ``2 rank`` number, where the letters -rank, ..., -1,
-# 1, ..., rank are the digits 0, ..., 2 rank - 1.  Digits follow the byte
-# order of packed letters, so within one length integer order is byte
-# order, and the words of a length that begin with a prefix are one range
-# of keys.
-
-#: the numerals ``int(text, base)`` reads, up to base 36
-_NUMERALS = b"0123456789abcdefghijklmnopqrstuvwxyz"
-
+# The index keeps each word as an integer key: the digits of its canonical
+# form in base ``_base(rank)``, where the letters -rank, ..., -1, 1, ...,
+# rank are the digits 0, ..., 2 rank - 1.  Digits follow the byte order of
+# packed letters, so within one length integer order is byte order, and
+# the words of a length that begin with a prefix are one range of keys.
 
 @lru_cache(maxsize=64)
-def _digit_table(rank: int) -> bytes:
-    """``bytes.translate`` table from packed letters to their digits: as
-    numerals up to rank 18 (base 36), as byte values above."""
-    digits = _NUMERALS if 2 * rank <= len(_NUMERALS) else range(256)
-    table = bytearray(256)
-    for d, c in enumerate([*range(-rank, 0), *range(1, rank + 1)]):
-        table[c + _PACK_OFFSET] = digits[d]
-    return bytes(table)
+def _base(rank: int) -> int:
+    """The least of 2, 4, 16 and 256 with a digit for each of the
+    ``2 rank`` letters: its digits fill a byte, so ``int`` writes every key
+    and ``int.to_bytes`` reads it."""
+    return next(base for base in (2, 4, 16, 256) if base >= 2 * rank)
 
 
 @lru_cache(maxsize=4096)
 def _key_table(rank: int, sig: bytes) -> bytes:
-    """``_canon_table`` followed by ``_digit_table``: one translation from a
-    word with first letters ``sig`` to the digits of its canonical form."""
-    return _canon_table(rank, sig).translate(_digit_table(rank))
+    """``bytes.translate`` table from a word with first letters ``sig`` to
+    the digits of its canonical form, as numerals below base 256: the
+    generator of ``sig[i]`` becomes generator ``rank - i``, with ``sig[i]``
+    its negative letter, so its letters get the digits ``i`` and
+    ``2 rank - 1 - i``.  A canonical ``sig`` is a prefix of
+    ``bytes(range(64 - rank, 64))``, and its table keeps each letter's own
+    digit."""
+    digits = range(256) if _base(rank) == 256 else b"0123456789abcdef"
+    table = bytearray(256)
+    for i, x in enumerate(sig):
+        table[x] = digits[i]
+        table[2 * _PACK_OFFSET - x] = digits[2 * rank - 1 - i]
+    return bytes(table)
 
 
 def _number(digits: bytes, base: int) -> int:
-    """The integer that ``digits``, translated by ``_digit_table``, spell."""
-    if base <= len(_NUMERALS):
-        return int(digits, base) if digits else 0
-    n = 0
-    for d in digits:
-        n = n * base + d
-    return n
+    """The integer that ``digits``, translated by ``_key_table``, spell in
+    ``base``."""
+    if base == 256:
+        return int.from_bytes(digits, "big")
+    return int(digits, base) if digits else 0
 
 
 def _encode(key: bytes, rank: int) -> int:
-    """The integer key of the packed word ``key``."""
-    return _number(key.translate(_digit_table(rank)), 2 * rank)
+    """The integer whose base-``_base(rank)`` digits are the letters of the
+    packed word ``key``: its key when ``key`` is canonical."""
+    table = _key_table(rank, bytes(range(_PACK_OFFSET - rank, _PACK_OFFSET)))
+    return _number(key.translate(table), _base(rank))
 
 
 @lru_cache(maxsize=64)
 def _columns(rank: int) -> tuple[int, tuple[bytes, ...]]:
-    """``(width, columns)``: ``width`` is the most digits whose values
-    number at most 256, and ``columns[j]`` is the ``bytes.translate`` table
-    from the value of ``width`` digits to the ``j``-th of their packed
-    letters."""
-    letters = [*range(-rank, 0), *range(1, rank + 1)]
-    width = 1
-    while len(letters) ** (width + 1) <= 256:
-        width += 1
-    chunks = list(product(letters, repeat=width))
+    """``(width, columns)``: ``width`` digits of base ``_base(rank)`` fill
+    a byte, and ``columns[j]`` is the ``bytes.translate`` table from a byte
+    to the packed letter of its ``j``-th digit."""
+    base = _base(rank)
+    width = 8 // (base.bit_length() - 1)
+    letters = _pack((*range(-rank, 0), *range(1, rank + 1))).ljust(base, b"\0")
     return width, tuple(
-        bytes(c[j] + _PACK_OFFSET for c in chunks).ljust(256, b"\0")
+        bytes(letters[b // base ** (width - 1 - j) % base] for b in range(256))
         for j in range(width))
 
 
@@ -319,23 +315,13 @@ def _decode(numbers, length: int, rank: int) -> list[bytes]:
     """The packed words of ``length`` letters whose integer keys are
     ``numbers``.
 
-    Each key is cut into chunks of ``width`` digits, by ``int.to_bytes``
-    where there are 256 chunk values and by division elsewhere, and each
-    of the ``width`` letters of a chunk is one translation of the chunks of
+    ``int.to_bytes`` writes each key as the bytes its digits fill, and each
+    of the ``width`` digits of a byte is one translation of the bytes of
     every key at once.
     """
     width, columns = _columns(rank)
-    size = (2 * rank) ** width
-    count = -(-length // width) or 1  # chunks a key takes
-    if size == 256:
-        data = b"".join([n.to_bytes(count, "big") for n in numbers])
-    else:
-        data = bytearray()
-        for n in numbers:
-            row = bytearray(count)
-            for i in reversed(range(count)):
-                n, row[i] = divmod(n, size)
-            data += row
+    count = -(-length // width) or 1  # bytes a key takes
+    data = b"".join([n.to_bytes(count, "big") for n in numbers])
     letters = bytearray(width * len(data))
     for j, column in enumerate(columns):
         letters[j::width] = data.translate(column)
@@ -358,11 +344,12 @@ def _commutator_value_index(rank: int, max_len: int):
     ``(len, bytes)`` order of their words, and ``bounds[length] = (lo,
     hi)``, the slice of each length.  The keys are one flat
     ``array("Q")``, 8 bytes a key, unless the longest length needs more
-    than 64 bits, when they are a list.  Each length class is collected
-    and sorted on its own (buckets of ``v`` below share a length too), so
-    no set of every key is held.  Since ``s[u, v] = [su, sv]``, it is
-    enough to let ``u`` range over canonical words.  The full value set is
-    closed under inversion because ``[u, v]^-1 = [v, u]``.
+    than 64 bits, when they are a list: from ``max_len`` 9 at rank 2, 5 at
+    ranks 3 to 8 and 3 above, past the default pair budget.  Each length
+    class is collected and sorted on its own (buckets of ``v`` below share
+    a length too), so no set of every key is held.  Since ``s[u, v] =
+    [su, sv]``, it is enough to let ``u`` range over canonical words.  The
+    full value set is closed under inversion because ``[u, v]^-1 = [v, u]``.
 
     ``[u, v] = u v u^-1 v^-1`` can cancel only at its three junctions,
     and only if ``v`` begins with ``u[-1]^-1``, ends with ``u[-1]`` or ends
@@ -379,8 +366,9 @@ def _commutator_value_index(rank: int, max_len: int):
     turn.  The result is relabelled only if it does not begin with the
     stem.
     """
-    base = 2 * rank
-    digits = _digit_table(rank)
+    base = _base(rank)
+    canonical = bytes(range(_PACK_OFFSET - rank, _PACK_OFFSET))
+    digits = _key_table(rank, canonical)
     vocab = [_pack(c) for c in _codes_up_to(rank, max_len) if c]
     ends: dict[tuple[int, int, int], list] = {}
     for v in vocab:
@@ -394,12 +382,13 @@ def _commutator_value_index(rank: int, max_len: int):
     # bucket, by bucket and |u|
     tails: dict[tuple[int, int, int, int], list[int]] = {}
     for u in vocab:
-        if _canon(u, rank) != u:
+        sig = _signature(u, rank)
+        if not canonical.startswith(sig):
             continue
         iu = _inverse(u)
         n, first, last = len(u), u[0], u[-1]
-        sig = _signature(u, rank)
         stem = u[:u.index(sig[-1]) + 1] if len(sig) == rank else None
+        ku, kiu = _encode(u, rank), _encode(iu, rank)
         for (f, l, m), bucket in ends.items():
             cancels_u_v = f + last == 2 * _PACK_OFFSET
             cancels_v_iu = l == last
@@ -411,8 +400,7 @@ def _commutator_value_index(rank: int, max_len: int):
                     tails[ends_key] = [
                         _encode(v, rank) * base ** (n + m) + _encode(iv, rank)
                         for v, iv in bucket]
-                head = (_encode(u, rank) * base ** (n + 2 * m)
-                        + _encode(iu, rank) * base ** m)
+                head = ku * base ** (n + 2 * m) + kiu * base ** m
                 classes[2 * (n + m)].extend(map(head.__add__,
                                                 tails[ends_key]))
                 continue
@@ -458,7 +446,7 @@ def _indexed(ordered, bounds: dict, rank: int, key: bytes) -> bool:
     if lo == hi:
         return False
     table = _key_table(rank, _signature(key, rank))
-    number = _number(key.translate(table), 2 * rank)
+    number = _number(key.translate(table), _base(rank))
     i = bisect_left(ordered, number, lo, hi)
     return i < hi and ordered[i] == number
 
@@ -478,7 +466,7 @@ def _prefix_range(ordered, bounds: dict, rank: int, length: int,
     if lo == hi or spare < 0:
         return []
     sig = _signature(prefix, rank)
-    base = 2 * rank
+    base = _base(rank)
     head = _number(prefix.translate(_key_table(rank, sig)), base)
     lo = bisect_left(ordered, head * base ** spare, lo, hi)
     hi = bisect_left(ordered, (head + 1) * base ** spare, lo, hi)

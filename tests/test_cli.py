@@ -944,6 +944,31 @@ def test_long_entry_budgets_and_large_ranks_exit_cleanly(argv):
         assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["cl", "--word", "ab", "--rank", "10000000"],
+    ["word", "--word", "ab", "--rank", "10000000"]], ids=" ".join)
+def test_rank_sized_work_fits_or_exits_three_in_100_mb(argv):
+    # cl catches the non-member error without reading its text, a vector
+    # of 10^7 entries, so it answers at the interpreter's own size; word
+    # prints that vector, and running out of memory is exit 3 on one line
+    cap = 100 * 2 ** 20
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scl_lab", *argv], capture_output=True,
+        text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert "Traceback" not in proc.stderr
+    if argv[0] == "cl":
+        assert proc.returncode == 0 and proc.stderr == ""
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line)["result"] == {
+            "in_commutator_subgroup": False, "cl": "infinity"}
+    else:
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (
+            "scl-lab: budget exhausted: word ran out of memory\n")
+
+
 #: ``sol member|cert|decompose|report|mul`` records: the benchmark's four
 #: matrices on members of 1 to 80 digits and on non-members, the 10^320
 #: member of (2,1,1,1), one ``--table`` call, a profile that gives up

@@ -39,6 +39,7 @@ from scl_lab.scl_engine import (
     CommutatorCertificate,
     NotInCommutatorSubgroupError,
     SearchBudgetError,
+    _base,
     _commutator_value_index,
     _decode,
     _encode,
@@ -532,8 +533,8 @@ def decoded_index(rank, max_len):
 @st.composite
 def same_length_words(draw):
     """A rank from 1 to 63 and two packed words of one length from 0 to
-    4 max_len, the longest value; keys pass 64 bits from rank 4 on, and
-    ranks above 18 pass the numerals of ``int(text, base)``."""
+    4 max_len, the longest value; keys pass 64 bits from rank 3 on, and
+    ranks 1, 2, 3 to 8 and 9 to 63 take bases 2, 4, 16 and 256."""
     rank = draw(st.integers(1, 63))
     length = draw(st.integers(0, 4 * DEFAULT_MAX_LEN))
     letters = st.sampled_from(
@@ -549,12 +550,13 @@ class TestKeys:
         rank, words = case
         keys = [_encode(word, rank) for word in words]
         assert _decode(keys, len(words[0]), rank) == words
-        assert all(0 <= k < (2 * rank) ** len(words[0]) for k in keys)
+        assert all(0 <= k < _base(rank) ** len(words[0]) for k in keys)
         assert (keys[0] < keys[1]) == (words[0] < words[1])
 
     def test_wide_keys_make_a_list(self, monkeypatch):
-        # keys pass 64 bits only past a pair budget of billions, so the
-        # limit is lowered here: 4 max_len = 12 base-4 digits take 24 bits
+        # at rank 2 keys pass 64 bits only from max_len 9, 775 million
+        # pairs, so the limit is lowered here: 4 max_len = 12 base-4 digits
+        # take 24 bits
         build = _commutator_value_index.__wrapped__
         ordered, bounds = build(2, 3)
         assert ordered.typecode == "Q"
@@ -562,6 +564,28 @@ class TestKeys:
         wide, wide_bounds = build(2, 3)
         assert isinstance(wide, list) and max(wide) >= 1 << 20
         assert (wide, wide_bounds) == (ordered.tolist(), bounds)
+
+    def test_default_budget_keeps_word_keys(self):
+        # the largest max_len the default pair budget admits, at each rank
+        # from 2 to 63, builds an array("Q"), and the next one is refused;
+        # at rank 1 every max_len is admitted, but every commutator is
+        # trivial, so the index holds no key
+        for rank in range(2, 64):
+            max_len = 1
+            while True:
+                n = _count_up_to(rank, max_len + 1) - 1
+                if n * (n - 1) // 2 > DEFAULT_PAIR_BUDGET:
+                    break
+                max_len += 1
+            assert _base(rank) ** (4 * max_len) <= 1 << 64, (rank, max_len)
+            ordered, _ = (_commutator_value_index(rank, max_len) if rank == 2
+                          else _commutator_value_index.__wrapped__(rank,
+                                                                  max_len))
+            assert ordered.typecode == "Q", (rank, max_len)
+            with pytest.raises(SearchBudgetError):
+                _genus_two_search(w("[a,b]", rank), max_len + 1,
+                                  DEFAULT_PAIR_BUDGET)
+        assert _commutator_value_index.__wrapped__(1, 17) == ([], {})
 
 
 class TestOrbitIndex:
@@ -611,7 +635,7 @@ class TestOrbitIndex:
         assert hashlib.sha256(b"\n".join(ordered)).hexdigest() == (
             "dc9d647fc3b2318f64e31361506097d6c6534a6696799f3b6e70f5046723e62f")
 
-    @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2), (9, 1)])
     def test_membership_is_the_brute_force_membership(self, rank, max_len):
         # every reduced word up to the longest value, 4 max_len, through
         # the key of its canonical form and one bisection in its length
@@ -636,7 +660,7 @@ class TestOrbitIndex:
         assert hits == len(full)
         assert checked == _count_up_to(rank, 4 * max_len) - 1
 
-    @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("rank,max_len", [(2, 3), (3, 2), (9, 1)])
     def test_prefix_ranges_are_the_sorted_full_ranges(self, rank, max_len):
         ordered, bounds = _commutator_value_index(rank, max_len)
         full, _ = brute_force_values(rank, max_len)
@@ -717,6 +741,21 @@ class TestLowerBounds:
         assert report.status == "inconclusive"
         assert peak < 1e6, peak
         assert scl_report(w("aab")).status == "not_in_commutator_subgroup"
+
+    def test_non_member_error_is_spelled_only_when_read(self):
+        # the error holds the word; its text, with the rank-sized
+        # abelianization, took a 16 MB peak at rank 10^6 when it was built
+        # at the raise
+        a = parse_word("ab", 10 ** 6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotInCommutatorSubgroupError) as info:
+                cl_upper(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+        assert info.value.word == a
 
     def test_bavard_documented(self):
         bound, witness = scl_lower_bavard(w("[a,b]"))
