@@ -451,6 +451,13 @@ def _indexed(ordered, bounds: dict, rank: int, key: bytes) -> bool:
     return i < hi and ordered[i] == number
 
 
+@lru_cache(maxsize=4096)
+def _prefix_key(rank: int, prefix: bytes) -> tuple[bytes, int]:
+    """The signature of ``prefix`` and its key, once per distinct prefix."""
+    sig = _signature(prefix, rank)
+    return sig, _number(prefix.translate(_key_table(rank, sig)), _base(rank))
+
+
 def _prefix_range(ordered, bounds: dict, rank: int, length: int,
                   prefix: bytes) -> list:
     """Words of the full value set of ``length`` that begin with ``prefix``,
@@ -465,9 +472,8 @@ def _prefix_range(ordered, bounds: dict, rank: int, length: int,
     spare = length - len(prefix)
     if lo == hi or spare < 0:
         return []
-    sig = _signature(prefix, rank)
+    sig, head = _prefix_key(rank, prefix)
     base = _base(rank)
-    head = _number(prefix.translate(_key_table(rank, sig)), base)
     lo = bisect_left(ordered, head * base ** spare, lo, hi)
     hi = bisect_left(ordered, (head + 1) * base ** spare, lo, hi)
     if lo == hi:
@@ -492,12 +498,18 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     order, so certificates do not depend on how the index is stored or
     read.  Free reduction of ``c1 c2`` cancels some ``x``, leaving
     ``c1 = p x``, ``c2 = x^-1 s`` and ``a = p s``.  With ``h = ceil(|a|/2)``
-    either ``|p| >= h``, and ``c1`` begins with ``a[:h]``, or ``|p| <= h``,
-    and ``c2^-1`` begins with ``(a[h:])^-1``.  The value set is closed under
-    inversion, so both cases are prefix ranges of it in each length class.
-    The first case is read by ascending length up to its first valid key,
-    which is its least; the second only up to length ``|a| + |c1|`` of the
-    best ``c1`` so far, since ``|c1| >= |c2| - |a|``.
+    either ``|p| >= h``, and ``c1`` begins with ``a[:h]``, or ``|p| < h``,
+    and ``c2^-1`` begins with ``(a[h - 1:])^-1``.  The value set is closed
+    under inversion, so both cases are prefix ranges of it in each length
+    class.  The first case is read by ascending length up to its first
+    valid key, which is its least.  In the second, a key ``c2^-1`` of length
+    ``L`` can give ``|c1| <= |best|`` for the best ``c1`` so far only if it
+    begins with ``a^-1[:|a| - h + j(L)]``, where ``j(L) = max(1, ceil((L -
+    |a| - |best| + 2h) / 2))``; the walk stops once ``j(L) > h``, that is
+    ``L > |a| + |best|``.  Proof: a key that cancels ``|a| - h + j`` letters
+    of ``a`` leaves ``c1 = a[:h - j] key[|a| - h + j:]``, of length ``L -
+    |a| + 2h - 2j``, which is at most ``|best|`` only when ``j >= j(L)``.
+    In both cases only the letters past the prefix are joined.
     """
     rank = a.rank
     if rank >= _PACK_OFFSET:
@@ -516,21 +528,23 @@ def _genus_two_search(a: ReducedWord, max_len: int, pair_budget: int):
     longest = max(bounds)
     h = (len(target) + 1) // 2
     best: Optional[bytes] = None
-    head = target[:h]
-    for length in range(len(head), longest + 1):
-        for key in _prefix_range(ordered, bounds, rank, length, head):
-            rest = _join(_inverse(key), target)
+    for length in range(h, longest + 1):
+        for key in _prefix_range(ordered, bounds, rank, length, target[:h]):
+            rest = _join(_inverse(key[h:]), target[h:])
             if rest and _indexed(ordered, bounds, rank, rest):
                 best = key
                 break
         if best is not None:
             break
-    tail = _inverse(target[h:])
-    for length in range(len(tail), longest + 1):
-        if best is not None and length > len(target) + len(best):
+    inverse = _inverse(target)
+    for length in range(len(target) - h + 1, longest + 1):
+        j = 1 if best is None else max(
+            1, (length - len(target) - len(best) + 2 * h + 1) // 2)
+        if j > h:
             break
-        for key in _prefix_range(ordered, bounds, rank, length, tail):
-            first = _join(target, key)
+        cut = len(target) - h + j  # the key cancels these letters of a
+        for key in _prefix_range(ordered, bounds, rank, length, inverse[:cut]):
+            first = _join(target[:h - j], key[cut:])
             if _indexed(ordered, bounds, rank, first) and (
                     best is None or (len(first), first) < (len(best), best)):
                 best = first

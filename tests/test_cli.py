@@ -754,7 +754,7 @@ def test_readme_cli_examples_byte_for_byte(capsys):
         encoding="utf-8").splitlines()
     examples = [(line, lines[i + 1]) for i, line in enumerate(lines)
                 if line.startswith("$ scl-lab ")]
-    assert len(examples) >= 4
+    assert len(examples) >= 5
     for command, expected in examples:
         captured = run_cli(capsys, *shlex.split(command)[2:])
         assert captured.out == expected + "\n", command

@@ -46,6 +46,8 @@ from scl_lab.scl_engine import (
     _genus_one_search,
     _genus_two_search,
     _indexed,
+    _inverse,
+    _join,
     _pack,
     _prefix_range,
     _unpack,
@@ -231,6 +233,45 @@ def full_walk_genus_two(a, max_len):
     return None
 
 
+def two_half_walk_genus_two(a, max_len):
+    """Reference genus-2 lookup without pruning: both halves read whole
+    prefix ranges of the index and join every candidate with all of ``a``,
+    and the second half stops only past length ``|a| + |best|``.  Returns
+    the rebuilt pairs and whether the second half found a shorter ``c1``
+    than the first."""
+    rank = a.rank
+    ordered, bounds = _commutator_value_index(rank, max_len)
+    target = _pack(a.codes)
+    longest = max(bounds)
+    h = (len(target) + 1) // 2
+    best = None
+    head = target[:h]
+    for length in range(len(head), longest + 1):
+        for key in _prefix_range(ordered, bounds, rank, length, head):
+            rest = _join(_inverse(key), target)
+            if rest and _indexed(ordered, bounds, rank, rest):
+                best = key
+                break
+        if best is not None:
+            break
+    first_half = best
+    tail = _inverse(target[h:])
+    for length in range(len(tail), longest + 1):
+        if best is not None and length > len(target) + len(best):
+            break
+        for key in _prefix_range(ordered, bounds, rank, length, tail):
+            first = _join(target, key)
+            if _indexed(ordered, bounds, rank, first) and (
+                    best is None or (len(first), first) < (len(best), best)):
+                best = first
+    if best is None:
+        return None, False
+    rest = _join(_inverse(best), target)
+    pairs = tuple(_genus_one_search(ReducedWord(rank, _unpack(c), _trusted=True))
+                  for c in (best, rest))
+    return pairs, first_half is not None and len(first_half) > len(best)
+
+
 def signed_permutation_images(keys, rank):
     """All images of packed words under the 2^rank rank! signed letter
     permutations; small ranks only."""
@@ -311,6 +352,41 @@ class TestGenusTwoLookup:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"rank-10 queries took {elapsed:.2f}s"
         assert len(_commutator_value_index(rank, max_len)[0]) == 1
+
+    def test_matches_the_unpruned_walk_at_default_budgets(self):
+        # the second half reads only keys that can beat the best c1 so far;
+        # the corpus holds words whose first-half hit is longer than the
+        # second half's best, so the bound tightens during the walk
+        corpus = [ReducedWord(2, ())] + genus_two_corpus(
+            random.Random(29), DEFAULT_MAX_LEN, 60)
+        tightened = 0
+        for a in corpus:
+            expected, shorter = two_half_walk_genus_two(a, DEFAULT_MAX_LEN)
+            assert _genus_two_search(a, DEFAULT_MAX_LEN, DEFAULT_PAIR_BUDGET) \
+                == expected, str(a)
+            tightened += shorter
+        assert two_half_walk_genus_two(power(w("[a,b]"), 3),
+                                       DEFAULT_MAX_LEN)[1]
+        assert tightened >= 2, tightened
+
+    def test_second_half_reads_only_keys_that_can_win(self, monkeypatch):
+        # the unpruned walk reads 145 and 508 words for [a,b]^2 and [a,b]^3
+        read = []
+
+        def counting(ordered, bounds, rank, length, prefix):
+            found = _prefix_range(ordered, bounds, rank, length, prefix)
+            if prefix.startswith(tail):
+                read.extend(found)
+            return found
+
+        monkeypatch.setattr(scl_engine, "_prefix_range", counting)
+        for n in (2, 3):
+            target = _pack(power(w("[a,b]"), n).codes)
+            tail = _inverse(target[(len(target) + 1) // 2:])
+            assert target[0] != tail[0]  # the first half's prefix differs
+            assert _genus_two_search(power(w("[a,b]"), n), DEFAULT_MAX_LEN,
+                                     DEFAULT_PAIR_BUDGET) is not None
+        assert len(read) <= 20, len(read)
 
     def test_culler_oracle_at_default_budgets(self):
         # Culler: cl([a,b]^n) = n // 2 + 1, so genus 2 is exact for n = 2, 3
